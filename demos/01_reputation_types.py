@@ -7,7 +7,8 @@ forever), and BOINC ignores everything until ten consecutive honest audits
 have been observed since the last catch.
 """
 
-from repsim import ReputationLedger, ReputationType, truthfulness
+from repsim import ReputationType
+from repsim.reputation import ReputationLedger, truthfulness
 
 history = [True] * 8 + [False, False] + [True] * 10
 

@@ -3,9 +3,10 @@
 A master repeatedly assigns an abstract task to the most reputable subset of
 a worker pool, optionally audits the replies, accepts a weighted-majority
 answer otherwise, and adapts its audit probability; rational workers adapt
-their cheating probability from payoffs. The package provides the mechanism
-primitives, a seeded run engine with convergence metrics, built-in scenario
-presets, and CSV/JSONL emission for experiment batches.
+their cheating probability from payoffs. The package exports the scenario
+configuration and its I/O, the run engine with its convergence metrics and
+theorem checks, and the built-in presets. The mechanism primitives live in
+their modules: ``repsim.reputation``, ``repsim.worker`` and ``repsim.master``.
 """
 
 from .model import (
@@ -21,22 +22,8 @@ from .model import (
     config_from_dict,
     config_to_dict,
     load_config,
-    make_stream,
     save_config,
     validate_config,
-)
-from .reputation import ReputationLedger, combined_reputation, responsiveness, truthfulness
-from .worker import Reply, WorkerState
-from .master import (
-    MasterState,
-    RoundOutcome,
-    accept_by_weighted_majority,
-    assign_payoffs,
-    decide_audit,
-    run_master_round,
-    select_top_n,
-    select_workers,
-    update_audit_prob,
 )
 from .engine import (
     AggregateStats,
@@ -46,7 +33,6 @@ from .engine import (
     RunMetrics,
     TheoremReport,
     Verdict,
-    WorkerSnapshot,
     check_theorem_1,
     check_theorem_2,
     run_batch,
@@ -58,7 +44,6 @@ from .scenarios import (
     get_scenario,
     list_scenarios,
     make_config,
-    make_workers,
 )
 
 __version__ = "0.1.0"
@@ -67,15 +52,11 @@ __all__ = [
     "AggregateStats",
     "BatchResult",
     "Diagnostic",
-    "MasterState",
     "MechanismParams",
     "MetricSummary",
     "PayoffParams",
-    "Reply",
     "ReplyValue",
-    "ReputationLedger",
     "ReputationType",
-    "RoundOutcome",
     "RoundRecord",
     "RunMetrics",
     "ScenarioConfig",
@@ -83,33 +64,19 @@ __all__ = [
     "SelectionPolicy",
     "TheoremReport",
     "Verdict",
-    "WorkerSnapshot",
     "WorkerSpec",
-    "WorkerState",
     "WorkerType",
-    "accept_by_weighted_majority",
-    "assign_payoffs",
     "build_scenario",
     "check_theorem_1",
     "check_theorem_2",
-    "combined_reputation",
     "config_from_dict",
     "config_to_dict",
-    "decide_audit",
     "get_scenario",
     "list_scenarios",
     "load_config",
     "make_config",
-    "make_stream",
-    "make_workers",
-    "responsiveness",
     "run_batch",
-    "run_master_round",
     "run_single",
     "save_config",
-    "select_top_n",
-    "select_workers",
-    "truthfulness",
-    "update_audit_prob",
     "validate_config",
 ]

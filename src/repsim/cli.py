@@ -13,9 +13,16 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .engine import BatchResult, RoundRecord, RunMetrics, run_batch
+from .engine import (
+    METRICS,
+    BatchResult,
+    RoundRecord,
+    RunMetrics,
+    WorkerSnapshot,
+    converged_columns,
+    run_batch,
+)
 from .model import (
-    Diagnostic,
     ScenarioConfig,
     config_errors,
     config_from_dict,
@@ -35,90 +42,79 @@ __all__ = [
     "main",
 ]
 
-METRICS_COLUMNS = (
-    "seed",
-    "convergence_round",
-    "audits_to_convergence",
-    "incorrect_before",
-    "incorrect_after",
-    "empty_after",
-    "violated",
-    "not_converged",
-)
-
-SUMMARY_METRICS = (
-    "convergence_round",
-    "audits_to_convergence",
-    "incorrect_before",
-    "incorrect_after",
-    "empty_after",
-)
+METRICS_COLUMNS = ("seed", *(name for name, _ in METRICS), "violated", "not_converged")
+TRACE_COLUMNS = ("round_index", "audit_prob", "audited", "accepted_value", "num_replies")
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"
+def _write_rows(path: Path, fmt: str, columns: Sequence[str], rows: Iterable[dict]) -> None:
+    """Write dict rows as JSON lines, or as LF-terminated CSV under
+    ``columns``. In CSV, booleans read true/false, None is an empty cell,
+    floats keep full precision, and a list of dicts (a trace row's workers)
+    is flattened into consecutive cells."""
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {fmt!r}")
+    with path.open("w", newline="") as fh:
+        if fmt == "jsonl":
+            for row in rows:
+                fh.write(json.dumps(row) + "\n")
+            return
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            cells: list[Any] = []
+            for value in row.values():
+                if isinstance(value, list):
+                    cells += [v for item in value for v in item.values()]
+                elif isinstance(value, bool):
+                    cells.append("true" if value else "false")
+                else:
+                    cells.append(value)
+            writer.writerow(cells)
 
 
 def _metrics_row(m: RunMetrics) -> dict[str, Any]:
+    """The METRICS_COLUMNS of one run; a run that never converged has a
+    ``None`` convergence round."""
     return {
         "seed": m.seed,
-        "convergence_round": "" if m.convergence_round is None else m.convergence_round,
-        "audits_to_convergence": m.audits_to_convergence,
-        "incorrect_before": m.incorrect_before_convergence,
-        "incorrect_after": m.incorrect_after_convergence,
-        "empty_after": m.empty_rounds_after_convergence,
-        "violated": _bool_str(m.eventual_correctness_violated),
-        "not_converged": _bool_str(m.not_converged),
+        **{name: getattr(m, attr) for name, attr in METRICS},
+        "violated": m.eventual_correctness_violated,
+        "not_converged": m.not_converged,
     }
 
 
 def write_metrics(runs: Iterable[RunMetrics], path: Path, fmt: str = "csv") -> None:
     """One row per instantiation; full precision, '.' decimals, LF-terminated."""
-    if fmt == "csv":
-        with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            for m in runs:
-                writer.writerow(_metrics_row(m))
-    elif fmt == "jsonl":
-        with path.open("w") as fh:
-            for m in runs:
-                row = _metrics_row(m)
-                row["convergence_round"] = m.convergence_round
-                row["violated"] = m.eventual_correctness_violated
-                row["not_converged"] = m.not_converged
-                fh.write(json.dumps(row) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    _write_rows(path, fmt, METRICS_COLUMNS, (_metrics_row(m) for m in runs))
 
 
 def read_metrics_csv(path: Path) -> list[RunMetrics]:
     """Parse a metrics CSV back into RunMetrics values (round-trip of
     write_metrics)."""
-    out: list[RunMetrics] = []
     with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(RunMetrics(
+        return [
+            RunMetrics(
                 seed=int(row["seed"]),
-                convergence_round=(
-                    None if row["convergence_round"] == "" else int(row["convergence_round"])
-                ),
-                audits_to_convergence=int(row["audits_to_convergence"]),
-                incorrect_before_convergence=int(row["incorrect_before"]),
-                incorrect_after_convergence=int(row["incorrect_after"]),
-                empty_rounds_after_convergence=int(row["empty_after"]),
-                eventual_correctness_violated=row["violated"] == "true",
-            ))
-    return out
+                **{attr: None if row[name] == "" else int(row[name]) for name, attr in METRICS},
+            )
+            for row in csv.DictReader(fh)
+        ]
 
 
-def _accepted_str(record: RoundRecord) -> str:
-    value = record.outcome.accepted_value
-    return "NONE" if value is None else value.value
+def _trace_row(rec: RoundRecord) -> dict[str, Any]:
+    accepted = rec.outcome.accepted_value
+    values = (
+        rec.round_index,
+        rec.audit_prob_before,
+        rec.outcome.audited,
+        "NONE" if accepted is None else accepted.value,
+        len(rec.outcome.responders),
+    )
+    return {**dict(zip(TRACE_COLUMNS, values)), "workers": [s._asdict() for s in rec.snapshots]}
 
 
 def write_trace(records: Sequence[RoundRecord], path: Path, fmt: str = "csv") -> None:
@@ -127,55 +123,14 @@ def write_trace(records: Sequence[RoundRecord], path: Path, fmt: str = "csv") ->
     ``audit_prob`` is the probability the round was played with (before any
     update). Worker columns repeat per selected slot in worker-id order.
     """
-    if fmt == "jsonl":
-        with path.open("w") as fh:
-            for rec in records:
-                fh.write(json.dumps({
-                    "round_index": rec.round_index,
-                    "audit_prob": rec.audit_prob_before,
-                    "audited": rec.outcome.audited,
-                    "accepted_value": _accepted_str(rec),
-                    "num_replies": len(rec.outcome.responders),
-                    "workers": [
-                        {
-                            "id": s.worker_id,
-                            "type": s.worker_type.value,
-                            "cheat_prob": s.cheat_prob,
-                            "rho_rs": s.responsiveness,
-                            "rho_tr": s.truthfulness,
-                        }
-                        for s in rec.snapshots
-                    ],
-                }) + "\n")
-        return
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
     slots = len(records[0].snapshots) if records else 0
-    columns = ["round_index", "audit_prob", "audited", "accepted_value", "num_replies"]
+    columns = list(TRACE_COLUMNS)
     for k in range(slots):
-        columns += [f"w{k}_id", f"w{k}_type", f"w{k}_cheat_prob", f"w{k}_rho_rs", f"w{k}_rho_tr"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for rec in records:
-            row: list[Any] = [
-                rec.round_index,
-                repr(rec.audit_prob_before),
-                _bool_str(rec.outcome.audited),
-                _accepted_str(rec),
-                len(rec.outcome.responders),
-            ]
-            for s in rec.snapshots:
-                row += [s.worker_id, s.worker_type.value, repr(s.cheat_prob),
-                        repr(s.responsiveness), repr(s.truthfulness)]
-            writer.writerow(row)
+        columns += [f"w{k}_{field}" for field in WorkerSnapshot._fields]
+    _write_rows(path, fmt, columns, (_trace_row(rec) for rec in records))
 
 
-def emit_results(
-    batch: BatchResult,
-    out_dir: Path,
-    fmt: str = "csv",
-) -> Path:
+def emit_results(batch: BatchResult, out_dir: Path, fmt: str = "csv") -> Path:
     """Write per-run metrics (and traces, if the batch kept records) under
     ``out_dir``; returns the metrics file path."""
     out_dir = Path(out_dir)
@@ -190,19 +145,10 @@ def emit_results(
 
 def summary_stats(runs: Sequence[RunMetrics]) -> dict[str, dict[str, float]]:
     """Median and interquartile range per metric over the converged runs."""
-    converged = [m for m in runs if not m.not_converged]
-    if not converged:
+    if all(m.not_converged for m in runs):
         return {}
-    columns = {
-        "convergence_round": [m.convergence_round for m in converged],
-        "audits_to_convergence": [m.audits_to_convergence for m in converged],
-        "incorrect_before": [m.incorrect_before_convergence for m in converged],
-        "incorrect_after": [m.incorrect_after_convergence for m in converged],
-        "empty_after": [m.empty_rounds_after_convergence for m in converged],
-    }
     out: dict[str, dict[str, float]] = {}
-    for name in SUMMARY_METRICS:
-        arr = np.asarray(columns[name], dtype=float)
+    for name, arr in converged_columns(runs).items():
         q25, median, q75 = (float(q) for q in np.percentile(arr, [25, 50, 75]))
         out[name] = {"median": median, "q25": q25, "q75": q75}
     return out
@@ -219,19 +165,11 @@ def format_summary(runs: Sequence[RunMetrics]) -> str:
     ]
     if stats:
         lines.append(f"{'metric':<24} {'median':>10} {'q25':>10} {'q75':>10}")
-        for name in SUMMARY_METRICS:
-            s = stats[name]
-            lines.append(
-                f"{name:<24} {s['median']:>10g} {s['q25']:>10g} {s['q75']:>10g}"
-            )
+        for name, s in stats.items():
+            lines.append(f"{name:<24} {s['median']:>10g} {s['q25']:>10g} {s['q75']:>10g}")
     else:
         lines.append("no converged runs; per-run metrics emitted, statistics skipped")
     return "\n".join(lines)
-
-
-def _print_diagnostics(diags: Sequence[Diagnostic]) -> None:
-    for d in diags:
-        print(f"{d.severity}: {d.field}: {d.message}", file=sys.stderr)
 
 
 def _apply_set_override(cfg: dict[str, Any], assignment: str) -> None:
@@ -242,15 +180,13 @@ def _apply_set_override(cfg: dict[str, Any], assignment: str) -> None:
         value: Any = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    *parents, leaf = path.split(".")
     node = cfg
-    parts = path.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ValueError(f"--set: unknown config path {path!r}")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or leaf not in node:
         raise ValueError(f"--set: unknown config path {path!r}")
-    node[parts[-1]] = value
+    node[leaf] = value
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -302,7 +238,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
 
     diags = validate_config(config)
-    _print_diagnostics(diags)
+    for d in diags:
+        print(f"{d.severity}: {d.field}: {d.message}", file=sys.stderr)
     if config_errors(diags):
         return EXIT_BAD_INPUT
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,25 +37,25 @@ __all__ = [
     "check_theorem_2",
 ]
 
-METRIC_NAMES = (
-    "convergence_round",
-    "audits_to_convergence",
-    "incorrect_before",
-    "incorrect_after",
-    "empty_after",
+# (column name in metrics files and summaries, RunMetrics attribute)
+METRICS = (
+    ("convergence_round", "convergence_round"),
+    ("audits_to_convergence", "audits_to_convergence"),
+    ("incorrect_before", "incorrect_before_convergence"),
+    ("incorrect_after", "incorrect_after_convergence"),
+    ("empty_after", "empty_rounds_after_convergence"),
 )
 
 
-@dataclass(frozen=True)
-class WorkerSnapshot:
-    """State of one selected worker as of the end of a round."""
+class WorkerSnapshot(NamedTuple):
+    """State of one selected worker as of the end of a round; the fields are
+    the per-worker trace columns."""
 
-    worker_id: int
-    worker_type: WorkerType
+    id: int
+    type: str
     cheat_prob: float
-    responsiveness: float
-    truthfulness: float
-    combined: float
+    rho_rs: float
+    rho_tr: float
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class RunMetrics:
     are split at the convergence round (the convergence round itself counts
     as "before"). A run violates eventual correctness when any
     post-convergence round accepted a wrong value or nothing at all, or when
-    it never converged.
+    it never converged (its after-convergence counts are then zero).
     """
 
     seed: int
@@ -88,11 +89,18 @@ class RunMetrics:
     incorrect_before_convergence: int
     incorrect_after_convergence: int
     empty_rounds_after_convergence: int
-    eventual_correctness_violated: bool
 
     @property
     def not_converged(self) -> bool:
         return self.convergence_round is None
+
+    @property
+    def eventual_correctness_violated(self) -> bool:
+        return (
+            self.not_converged
+            or self.incorrect_after_convergence > 0
+            or self.empty_rounds_after_convergence > 0
+        )
 
 
 @dataclass(frozen=True)
@@ -154,21 +162,14 @@ def run_single(
     incorrect_before = 0
     incorrect_after = 0
     empty_after = 0
-    violated = False
 
     for r in range(1, config.max_rounds + 1):
         audit_prob_before = master.audit_prob
         outcome = run_master_round(master, workers, rng)
         if keep_records:
             snapshots = tuple(
-                WorkerSnapshot(
-                    worker_id=i,
-                    worker_type=workers[i].spec.worker_type,
-                    cheat_prob=workers[i].cheat_prob,
-                    responsiveness=float(master.resp[i]),
-                    truthfulness=float(master.truth[i]),
-                    combined=float(master.resp[i] * master.truth[i]),
-                )
+                WorkerSnapshot(i, workers[i].spec.worker_type.value, workers[i].cheat_prob,
+                               float(master.resp[i]), float(master.truth[i]))
                 for i in outcome.selected
             )
             records.append(RoundRecord(r, outcome, snapshots, audit_prob_before))
@@ -186,17 +187,8 @@ def run_single(
                 incorrect_after += 1
             if accepted is None:
                 empty_after += 1
-            if accepted is not ReplyValue.CORRECT:
-                violated = True
-        if convergence_round is not None and r >= convergence_round + horizon:
-            break
-
-    if convergence_round is None:
-        # Never reached the minimum-audit regime: the long-run property is
-        # unattainable in this run, whatever was accepted along the way.
-        violated = True
-        incorrect_after = 0
-        empty_after = 0
+            if r >= convergence_round + horizon:
+                break
 
     metrics = RunMetrics(
         seed=seed,
@@ -205,7 +197,6 @@ def run_single(
         incorrect_before_convergence=incorrect_before,
         incorrect_after_convergence=incorrect_after,
         empty_rounds_after_convergence=empty_after,
-        eventual_correctness_violated=violated,
     )
     return records, metrics
 
@@ -216,31 +207,34 @@ def _batch_task(args: tuple[ScenarioConfig, int, bool]):
     return tuple(records), metrics
 
 
+def converged_columns(runs: Sequence[RunMetrics]) -> dict[str, np.ndarray]:
+    """Each metric column of ``METRICS`` over the converged runs, in run
+    order; every array is empty when no run converged."""
+    converged = [m for m in runs if not m.not_converged]
+    return {
+        name: np.asarray([getattr(m, attr) for m in converged], dtype=float)
+        for name, attr in METRICS
+    }
+
+
 def aggregate_metrics(runs: list[RunMetrics]) -> AggregateStats:
     """Min/max/mean/median/std per metric over the converged runs."""
-    converged = [m for m in runs if not m.not_converged]
-    stats: dict[str, MetricSummary] = {}
-    if converged:
-        columns = {
-            "convergence_round": [m.convergence_round for m in converged],
-            "audits_to_convergence": [m.audits_to_convergence for m in converged],
-            "incorrect_before": [m.incorrect_before_convergence for m in converged],
-            "incorrect_after": [m.incorrect_after_convergence for m in converged],
-            "empty_after": [m.empty_rounds_after_convergence for m in converged],
-        }
-        for name, values in columns.items():
-            arr = np.asarray(values, dtype=float)
-            stats[name] = MetricSummary(
-                minimum=float(arr.min()),
-                maximum=float(arr.max()),
-                mean=float(arr.mean()),
-                median=float(np.median(arr)),
-                std=float(arr.std()),
-            )
+    columns = converged_columns(runs)
+    converged = len(columns["convergence_round"])
+    stats = {
+        name: MetricSummary(
+            minimum=float(arr.min()),
+            maximum=float(arr.max()),
+            mean=float(arr.mean()),
+            median=float(np.median(arr)),
+            std=float(arr.std()),
+        )
+        for name, arr in columns.items()
+    } if converged else {}
     return AggregateStats(
         metrics=stats,
-        converged_count=len(converged),
-        not_converged_count=len(runs) - len(converged),
+        converged_count=converged,
+        not_converged_count=len(runs) - converged,
         violated_count=sum(1 for m in runs if m.eventual_correctness_violated),
     )
 
@@ -291,17 +285,29 @@ class TheoremReport:
         return self.violating_runs / self.converged_runs if self.converged_runs else 0.0
 
 
-def _run_violates(m: RunMetrics) -> bool:
-    return m.incorrect_after_convergence > 0 or m.empty_rounds_after_convergence > 0
+def _check(
+    config: ScenarioConfig,
+    parallel: int,
+    reputation_types: tuple[ReputationType, ...],
+    judge: Callable[[int, int], tuple[Verdict, str]],
+) -> TheoremReport:
+    """Applicability tests shared by both theorems, then a batch tally of
+    converged and violating runs; ``judge(converged, violating)`` gives the
+    verdict and its reason."""
+    workers = config.workers
+    if any(w.worker_type is WorkerType.RATIONAL for w in workers):
+        return TheoremReport(Verdict.INAPPLICABLE, "pool contains rational workers")
+    if not any(w.worker_type is WorkerType.ALTRUISTIC and w.availability == 1.0 for w in workers):
+        return TheoremReport(Verdict.INAPPLICABLE, "no altruistic worker with availability 1")
+    if config.mechanism.reputation_type not in reputation_types:
+        names = " or ".join(t.value for t in reputation_types)
+        return TheoremReport(Verdict.INAPPLICABLE, f"reputation type must be {names}")
 
-
-def _composition(config: ScenarioConfig):
-    types = {w.worker_type for w in config.workers}
-    full_altruistic = any(
-        w.worker_type is WorkerType.ALTRUISTIC and w.availability == 1.0
-        for w in config.workers
-    )
-    return types, full_altruistic
+    runs = run_batch(config, parallel=parallel).runs
+    converged = [m for m in runs if not m.not_converged]
+    violating = sum(1 for m in converged if m.eventual_correctness_violated)
+    verdict, reason = judge(len(converged), violating)
+    return TheoremReport(verdict, reason, len(runs), len(converged), violating)
 
 
 def check_theorem_1(config: ScenarioConfig, parallel: int = 1) -> TheoremReport:
@@ -313,26 +319,16 @@ def check_theorem_1(config: ScenarioConfig, parallel: int = 1) -> TheoremReport:
     type is LINEAR or EXPONENTIAL. PASS means every converged run stayed free
     of post-convergence violations.
     """
-    types, full_altruistic = _composition(config)
-    if WorkerType.RATIONAL in types:
-        return TheoremReport(Verdict.INAPPLICABLE, "pool contains rational workers")
-    if not full_altruistic:
-        return TheoremReport(Verdict.INAPPLICABLE, "no altruistic worker with availability 1")
-    if config.mechanism.reputation_type not in (ReputationType.LINEAR, ReputationType.EXPONENTIAL):
-        return TheoremReport(Verdict.INAPPLICABLE, "reputation type must be LINEAR or EXPONENTIAL")
+    def judge(converged: int, violating: int) -> tuple[Verdict, str]:
+        if not converged:
+            return Verdict.FAIL, "no run converged"
+        if violating == 0:
+            return Verdict.PASS, "all converged runs violation-free"
+        return Verdict.FAIL, (
+            f"{violating}/{converged} converged runs accepted WRONG or NONE after convergence"
+        )
 
-    batch = run_batch(config, parallel=parallel)
-    converged = [m for m in batch.runs if not m.not_converged]
-    violating = sum(1 for m in converged if _run_violates(m))
-    if not converged:
-        return TheoremReport(Verdict.FAIL, "no run converged", len(batch.runs), 0, 0)
-    verdict = Verdict.PASS if violating == 0 else Verdict.FAIL
-    reason = (
-        "all converged runs violation-free"
-        if violating == 0
-        else f"{violating}/{len(converged)} converged runs accepted WRONG or NONE after convergence"
-    )
-    return TheoremReport(verdict, reason, len(batch.runs), len(converged), violating)
+    return _check(config, parallel, (ReputationType.LINEAR, ReputationType.EXPONENTIAL), judge)
 
 
 def check_theorem_2(config: ScenarioConfig, parallel: int = 1) -> TheoremReport:
@@ -345,38 +341,22 @@ def check_theorem_2(config: ScenarioConfig, parallel: int = 1) -> TheoremReport:
     certain: the report carries the observed violating fraction, and PASS
     requires having seen at least one violating run (sample enough seeds).
     """
-    types, full_altruistic = _composition(config)
-    if WorkerType.RATIONAL in types:
-        return TheoremReport(Verdict.INAPPLICABLE, "pool contains rational workers")
-    if not full_altruistic:
-        return TheoremReport(Verdict.INAPPLICABLE, "no altruistic worker with availability 1")
-    if config.mechanism.reputation_type is not ReputationType.BOINC:
-        return TheoremReport(Verdict.INAPPLICABLE, "reputation type must be BOINC")
-
     partial_altruistic = sum(
-        1
-        for w in config.workers
-        if w.worker_type is WorkerType.ALTRUISTIC and w.availability < 1.0
+        w.worker_type is WorkerType.ALTRUISTIC and w.availability < 1.0 for w in config.workers
     )
-    batch = run_batch(config, parallel=parallel)
-    converged = [m for m in batch.runs if not m.not_converged]
-    violating = sum(1 for m in converged if _run_violates(m))
-    total, n_conv = len(batch.runs), len(converged)
 
-    if partial_altruistic < config.mechanism.select_n:
-        if not converged:
-            return TheoremReport(Verdict.FAIL, "no run converged", total, 0, 0)
-        verdict = Verdict.PASS if violating == 0 else Verdict.FAIL
-        reason = (
-            f"{partial_altruistic} partially-available altruistic workers < n: "
-            + ("violation-free as required" if violating == 0 else f"{violating} violating runs")
+    def judge(converged: int, violating: int) -> tuple[Verdict, str]:
+        if partial_altruistic < config.mechanism.select_n:
+            if not converged:
+                return Verdict.FAIL, "no run converged"
+            return Verdict.PASS if violating == 0 else Verdict.FAIL, (
+                f"{partial_altruistic} partially-available altruistic workers < n: "
+                + ("violation-free as required" if violating == 0 else f"{violating} violating runs")
+            )
+        return Verdict.PASS if violating > 0 else Verdict.FAIL, (
+            f"{partial_altruistic} partially-available altruistic workers >= n: violation has "
+            f"positive probability; observed fraction {violating}/{converged}"
+            + ("" if violating else " (none observed in this sample; try more seeds)")
         )
-        return TheoremReport(verdict, reason, total, n_conv, violating)
 
-    verdict = Verdict.PASS if violating > 0 else Verdict.FAIL
-    reason = (
-        f"{partial_altruistic} partially-available altruistic workers >= n: violation has "
-        f"positive probability; observed fraction {violating}/{n_conv}"
-        + ("" if violating else " (none observed in this sample; try more seeds)")
-    )
-    return TheoremReport(verdict, reason, total, n_conv, violating)
+    return _check(config, parallel, (ReputationType.BOINC,), judge)

@@ -81,12 +81,6 @@ class MasterState:
             picks = rng.choice(n_pool, size=params.select_n, replace=False)
             self.fixed_selection = tuple(sorted(int(i) for i in picks))
 
-    def combined_reputations(self) -> np.ndarray:
-        return self.resp * self.truth
-
-    def truth_of(self, worker_id: int) -> float:
-        return float(self.truth[worker_id])
-
     def record_selection(self, worker_id: int) -> None:
         ledger = self.ledgers[worker_id]
         ledger.record_selection()
@@ -121,7 +115,7 @@ def select_workers(state: MasterState, rng: np.random.Generator) -> list[int]:
     """Choose this round's worker set according to the selection policy."""
     if state.fixed_selection is not None:
         return list(state.fixed_selection)
-    return select_top_n(state.combined_reputations(), state.params.select_n, rng)
+    return select_top_n(state.resp * state.truth, state.params.select_n, rng)
 
 
 def decide_audit(state: MasterState, rng: np.random.Generator) -> bool:
@@ -196,8 +190,8 @@ def update_audit_prob(
     into the ledgers.
     """
     params = state.params
-    s_r = sum(state.truth_of(i) for i in responders)
-    s_f = sum(state.truth_of(i) for i in caught)
+    s_r = sum(float(state.truth[i]) for i in responders)
+    s_f = sum(float(state.truth[i]) for i in caught)
     if s_r == 0.0:
         return min(1.0, state.audit_prob + params.master_learning_rate_alpha_m)
     shifted = state.audit_prob + params.master_learning_rate_alpha_m * (
@@ -247,18 +241,16 @@ def run_master_round(
         rewarded: tuple[int, ...] = tuple(r.worker_id for r in replies if not r.was_cheat)
     else:
         accepted, rewarded = accept_by_weighted_majority(
-            replies, {i: state.truth_of(i) for i in responders}, rng
+            replies, {i: float(state.truth[i]) for i in responders}, rng
         )
 
     payoff_map = assign_payoffs(audited, replies, rewarded, state.payoffs)
     for r in replies:
         w = workers[r.worker_id]
         if w.spec.worker_type is WorkerType.RATIONAL:
-            alpha = (
-                w.learning_rate_override
-                if w.learning_rate_override is not None
-                else state.params.worker_learning_rate_alpha_w
-            )
+            alpha = w.spec.learning_rate
+            if alpha is None:
+                alpha = state.params.worker_learning_rate_alpha_w
             w.update_cheat_prob(payoff_map[r.worker_id], r.was_cheat, state.payoffs, alpha)
 
     return RoundOutcome(

@@ -8,11 +8,13 @@ seeds produce identical round streams.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -139,17 +141,29 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
     Returns one diagnostic per violation, naming the offending field. The
     participation condition (reward minus task cost must cover the largest
     aspiration in the pool) is reported as a warning; everything else is an
-    error. An empty list means the config is fully valid.
+    error. A NaN or infinite parameter gets one "must be finite" error and no
+    range error. An empty list means the config is fully valid.
     """
-    diags: list[Diagnostic] = []
-    err = lambda f, m: diags.append(Diagnostic(ERROR, f, m))
-    warn = lambda f, m: diags.append(Diagnostic(WARNING, f, m))
+    sections = [("mechanism", config.mechanism), ("payoffs", config.payoffs)]
+    sections += [(f"workers[{w.worker_id}]", w) for w in config.workers]
+    nonfinite = [
+        f"{tag}.{name}"
+        for tag, section in sections
+        for name, value in vars(section).items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
+    diags = [
+        Diagnostic(ERROR, name, f"{name.rsplit('.', 1)[1]} must be finite") for name in nonfinite
+    ]
+
+    def err(field: str, message: str) -> None:
+        if field not in nonfinite:
+            diags.append(Diagnostic(ERROR, field, message))
 
     m = config.mechanism
-    if m.pool_size_N < 1:
-        err("mechanism.pool_size_N", "pool_size_N must be >= 1")
-    if m.select_n < 1:
-        err("mechanism.select_n", "select_n must be >= 1")
+    for name in ("pool_size_N", "select_n"):
+        if getattr(m, name) < 1:
+            err(f"mechanism.{name}", f"{name} must be >= 1")
     if m.select_n > m.pool_size_N:
         err("mechanism.select_n", "select_n must be <= pool_size_N")
     elif m.selection_policy is SelectionPolicy.REPUTATION and m.select_n == m.pool_size_N:
@@ -187,28 +201,23 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
             err(f"{tag}.learning_rate", "learning_rate override must be > 0")
 
     p = config.payoffs
-    if p.punishment_WPc < 0.0:
-        err("payoffs.punishment_WPc", "punishment_WPc must be >= 0")
-    if p.task_cost_WCt < 0.0:
-        err("payoffs.task_cost_WCt", "task_cost_WCt must be >= 0")
-    if p.reward_WBy < 0.0:
-        err("payoffs.reward_WBy", "reward_WBy must be >= 0")
+    for name in ("punishment_WPc", "task_cost_WCt", "reward_WBy"):
+        if getattr(p, name) < 0.0:
+            err(f"payoffs.{name}", f"{name} must be >= 0")
     if config.workers:
         max_aspiration = max(w.aspiration for w in config.workers)
         if p.reward_WBy - p.task_cost_WCt < max_aspiration:
-            warn(
+            diags.append(Diagnostic(
+                WARNING,
                 "payoffs.reward_WBy",
                 "participation condition violated: reward_WBy - task_cost_WCt "
                 f"({p.reward_WBy - p.task_cost_WCt!r}) is below the maximum aspiration "
                 f"({max_aspiration!r})",
-            )
+            ))
 
-    if config.num_instantiations < 1:
-        err("num_instantiations", "num_instantiations must be >= 1")
-    if config.max_rounds < 1:
-        err("max_rounds", "max_rounds must be >= 1")
-    if config.post_convergence_horizon < 1:
-        err("post_convergence_horizon", "post_convergence_horizon must be >= 1")
+    for name in ("num_instantiations", "max_rounds", "post_convergence_horizon"):
+        if getattr(config, name) < 1:
+            err(name, f"{name} must be >= 1")
 
     return diags
 
@@ -229,76 +238,79 @@ def make_stream(seed: int) -> np.random.Generator:
 # documented schema.
 
 
+def _json_fields(items: list[tuple[str, Any]]) -> dict[str, Any]:
+    return {k: v.value if isinstance(v, Enum) else v for k, v in items}
+
+
 def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
-    d = asdict(config)
-    d["workers"] = [
-        {**w, "worker_type": w["worker_type"].value} for w in d["workers"]
-    ]
-    d["mechanism"]["reputation_type"] = config.mechanism.reputation_type.value
-    d["mechanism"]["selection_policy"] = config.mechanism.selection_policy.value
+    d = asdict(config, dict_factory=_json_fields)
+    d["workers"] = list(d["workers"])
     return d
 
 
-def _take(d: dict[str, Any], known: set[str], where: str) -> None:
-    unknown = set(d) - known
+def _converter(tp: Any, name: str) -> Callable[[Any], Any]:
+    """JSON value -> value of field ``name`` annotated ``tp``."""
+    if is_dataclass(tp):
+        return lambda v: _parse(tp, v, name, name)
+    if get_origin(tp) is tuple:  # an array of sections: "workers" of "worker"s
+        item = get_args(tp)[0]
+
+        def array(v: Any) -> tuple:
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"{name} must be a JSON array")
+            return tuple(_parse(item, x, f"{name}[{k}]", name[:-1]) for k, x in enumerate(v))
+
+        return array
+    if get_args(tp):  # ``float | None``
+        return lambda v: None if v is None else get_args(tp)[0](v)
+    return tp
+
+
+@functools.cache
+def _schema(cls: type) -> dict[str, tuple[Callable[[Any], Any], bool, bool]]:
+    """Per field of a config dataclass: its converter from JSON, whether it
+    has a default, and whether it is a section whose own fields all have
+    defaults (so the whole section may be omitted)."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (
+            _converter(hints[f.name], f.name),
+            f.default is not MISSING,
+            is_dataclass(hints[f.name])
+            and all(g.default is not MISSING for g in fields(hints[f.name])),
+        )
+        for f in fields(cls)
+    }
+
+
+def _parse(cls: type, d: Any, path: str, label: str) -> Any:
+    """Build dataclass ``cls`` from the JSON object ``d``; an absent field
+    takes its default. ``path`` names ``d`` in shape errors, ``label`` in
+    unknown-, missing- and invalid-field errors."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path} must be a JSON object")
+    schema = _schema(cls)
+    unknown = d.keys() - schema.keys()
     if unknown:
-        raise ValueError(f"unknown {where} field(s): {', '.join(sorted(unknown))}")
-
-
-def _required(d: dict[str, Any], key: str, where: str) -> Any:
-    if key not in d:
-        raise ValueError(f"missing required {where} field: {key}")
-    return d[key]
+        raise ValueError(f"unknown {label} field(s): {', '.join(sorted(unknown))}")
+    kwargs = {}
+    for name, (convert, has_default, omissible) in schema.items():
+        if name in d:
+            try:
+                kwargs[name] = convert(d[name])
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"invalid {label} field {name}: {exc}") from None
+        elif omissible:
+            kwargs[name] = convert({})
+        elif not has_default:
+            raise ValueError(f"missing required {label} field: {name}")
+    return cls(**kwargs)
 
 
 def config_from_dict(d: dict[str, Any]) -> ScenarioConfig:
-    """Parse a config dict; raises ValueError on unknown or missing fields."""
-    _take(d, {"workers", "payoffs", "mechanism", "num_instantiations",
-              "max_rounds", "post_convergence_horizon", "base_seed"}, "config")
-    workers = []
-    for w in _required(d, "workers", "config"):
-        _take(w, {"worker_id", "worker_type", "availability", "aspiration",
-                  "initial_cheat_prob", "learning_rate"}, "worker")
-        workers.append(WorkerSpec(
-            worker_id=int(_required(w, "worker_id", "worker")),
-            worker_type=WorkerType(_required(w, "worker_type", "worker")),
-            availability=float(w.get("availability", 1.0)),
-            aspiration=float(w.get("aspiration", 0.1)),
-            initial_cheat_prob=float(w.get("initial_cheat_prob", 0.5)),
-            learning_rate=None if w.get("learning_rate") is None else float(w["learning_rate"]),
-        ))
-    pd = d.get("payoffs", {})
-    _take(pd, {"punishment_WPc", "task_cost_WCt", "reward_WBy"}, "payoffs")
-    md = _required(d, "mechanism", "config")
-    _take(md, {"pool_size_N", "select_n", "audit_prob_initial", "audit_prob_min",
-               "tolerance_tau", "master_learning_rate_alpha_m",
-               "worker_learning_rate_alpha_w", "reputation_type",
-               "exponential_base_epsilon", "selection_policy"}, "mechanism")
-    mechanism = MechanismParams(
-        pool_size_N=int(_required(md, "pool_size_N", "mechanism")),
-        select_n=int(_required(md, "select_n", "mechanism")),
-        audit_prob_initial=float(md.get("audit_prob_initial", 0.5)),
-        audit_prob_min=float(md.get("audit_prob_min", 0.01)),
-        tolerance_tau=float(md.get("tolerance_tau", 0.5)),
-        master_learning_rate_alpha_m=float(md.get("master_learning_rate_alpha_m", 0.1)),
-        worker_learning_rate_alpha_w=float(md.get("worker_learning_rate_alpha_w", 0.1)),
-        reputation_type=ReputationType(md.get("reputation_type", "LINEAR")),
-        exponential_base_epsilon=float(md.get("exponential_base_epsilon", 0.5)),
-        selection_policy=SelectionPolicy(md.get("selection_policy", "REPUTATION")),
-    )
-    return ScenarioConfig(
-        workers=tuple(workers),
-        payoffs=PayoffParams(
-            punishment_WPc=float(pd.get("punishment_WPc", 0.0)),
-            task_cost_WCt=float(pd.get("task_cost_WCt", 0.1)),
-            reward_WBy=float(pd.get("reward_WBy", 1.0)),
-        ),
-        mechanism=mechanism,
-        num_instantiations=int(d.get("num_instantiations", 100)),
-        max_rounds=int(d.get("max_rounds", 50_000)),
-        post_convergence_horizon=int(d.get("post_convergence_horizon", 500)),
-        base_seed=int(d.get("base_seed", 1729)),
-    )
+    """Parse a config dict; raises ValueError on unknown, missing or
+    wrong-shaped fields."""
+    return _parse(ScenarioConfig, d, "config", "config")
 
 
 def save_config(config: ScenarioConfig, path: str | Path) -> None:

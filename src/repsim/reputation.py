@@ -56,15 +56,6 @@ class ReputationLedger:
         else:
             self.streak = 0
 
-    def copy(self) -> "ReputationLedger":
-        return ReputationLedger(
-            self.select_count,
-            self.reply_select_count,
-            self.audit_reply_select_count,
-            self.correct_audit_count,
-            self.streak,
-        )
-
 
 def responsiveness(ledger: ReputationLedger) -> float:
     """Smoothed fraction of selections that produced a reply; always in (0, 1]."""

@@ -1,12 +1,9 @@
 """Built-in scenario presets: the full-availability pool-size grid and the
 partial-availability scenarios S1-S6.
 
-Every preset shares the same default mechanism constants (aspiration 0.1,
-learning rates 0.1, tolerance 0.5, minimum audit probability 0.01,
-exponential base 0.5, no punishment, task cost 0.1, reward 1, initial
-cheating probability 0.5, five selected workers, 100 instantiations); the
-truthfulness reputation type and the initial audit probability are generator
-parameters.
+Every preset selects five workers and otherwise takes the defaults of the
+config dataclasses in ``repsim.model``; the truthfulness reputation type and
+the initial audit probability are generator parameters.
 """
 
 from __future__ import annotations
@@ -36,24 +33,16 @@ __all__ = [
     "DEFAULT_BASE_SEED",
 ]
 
-DEFAULT_BASE_SEED = 1729
+DEFAULT_BASE_SEED = ScenarioConfig.base_seed
 DEFAULT_SELECT_N = 5
-DEFAULT_ASPIRATION = 0.1
-DEFAULT_INITIAL_CHEAT_PROB = 0.5
 
 Group = tuple[int, WorkerType, float]  # (count, type, availability)
 
 
-def _as_reputation(value: ReputationType | str) -> ReputationType:
-    if isinstance(value, ReputationType):
-        return value
-    return ReputationType(value.upper())
-
-
 def make_workers(
     groups: Sequence[Group],
-    aspiration: float = DEFAULT_ASPIRATION,
-    initial_cheat_prob: float = DEFAULT_INITIAL_CHEAT_PROB,
+    aspiration: float = WorkerSpec.aspiration,
+    initial_cheat_prob: float = WorkerSpec.initial_cheat_prob,
     aspiration_jitter: float = 0.0,
     base_seed: int = DEFAULT_BASE_SEED,
 ) -> tuple[WorkerSpec, ...]:
@@ -69,7 +58,6 @@ def make_workers(
         jitter_rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([base_seed % (1 << 64), 0xA5]))
         )
-    worker_id = 0
     for count, worker_type, availability in groups:
         for _ in range(count):
             a = aspiration
@@ -77,24 +65,23 @@ def make_workers(
                 a = max(0.0, jitter_rng.uniform(aspiration - aspiration_jitter,
                                                 aspiration + aspiration_jitter))
             workers.append(WorkerSpec(
-                worker_id=worker_id,
+                worker_id=len(workers),
                 worker_type=worker_type,
                 availability=availability,
                 aspiration=a,
                 initial_cheat_prob=initial_cheat_prob,
             ))
-            worker_id += 1
     return tuple(workers)
 
 
 def make_config(
     groups: Sequence[Group],
     reputation_type: ReputationType | str = ReputationType.LINEAR,
-    audit_prob_initial: float = 0.5,
+    audit_prob_initial: float = MechanismParams.audit_prob_initial,
     select_n: int = DEFAULT_SELECT_N,
-    num_instantiations: int = 100,
-    max_rounds: int = 50_000,
-    post_convergence_horizon: int = 500,
+    num_instantiations: int = ScenarioConfig.num_instantiations,
+    max_rounds: int = ScenarioConfig.max_rounds,
+    post_convergence_horizon: int = ScenarioConfig.post_convergence_horizon,
     base_seed: int = DEFAULT_BASE_SEED,
     aspiration_jitter: float = 0.0,
     selection_policy: SelectionPolicy | None = None,
@@ -120,7 +107,7 @@ def make_config(
         pool_size_N=pool_size,
         select_n=select_n,
         audit_prob_initial=audit_prob_initial,
-        reputation_type=_as_reputation(reputation_type),
+        reputation_type=ReputationType(reputation_type.upper()),
         selection_policy=selection_policy,
     )
     return ScenarioConfig(
@@ -144,38 +131,24 @@ class ScenarioPreset:
     generator: Callable[..., ScenarioConfig]
 
 
-def _ratio_counts(pool_size: int, rational_part: int, malicious_part: int) -> tuple[int, int]:
-    """Scale a rational:malicious ratio to a pool size (nearest split)."""
+def _grid_scenario(pool_size: int, rational_part: int, malicious_part: int):
+    """Full-availability pool with a rational:malicious ratio scaled to the
+    pool size (nearest split), as a (name, description, groups) entry."""
     rational = round(pool_size * rational_part / (rational_part + malicious_part))
-    return rational, pool_size - rational
-
-
-def _grid_preset(pool_size: int, rational_part: int, malicious_part: int) -> ScenarioPreset:
-    rational, malicious = _ratio_counts(pool_size, rational_part, malicious_part)
-    name = f"p{pool_size}-r{rational_part}m{malicious_part}"
-    groups = [
-        (rational, WorkerType.RATIONAL, 1.0),
-        (malicious, WorkerType.MALICIOUS, 1.0),
-    ]
-
-    def generator(**kwargs) -> ScenarioConfig:
-        return make_config(groups, **kwargs)
-
-    return ScenarioPreset(
-        name=name,
-        description=(
-            f"pool of {pool_size}, full availability: {rational} rational, "
-            f"{malicious} malicious (rational/malicious ratio {rational_part}/{malicious_part})"
-        ),
-        generator=generator,
+    malicious = pool_size - rational
+    return (
+        f"p{pool_size}-r{rational_part}m{malicious_part}",
+        f"pool of {pool_size}, full availability: {rational} rational, "
+        f"{malicious} malicious (rational/malicious ratio {rational_part}/{malicious_part})",
+        [(rational, WorkerType.RATIONAL, 1.0), (malicious, WorkerType.MALICIOUS, 1.0)],
     )
 
 
-def _composition_preset(name: str, description: str, groups: Sequence[Group]) -> ScenarioPreset:
-    def generator(**kwargs) -> ScenarioConfig:
-        return make_config(groups, **kwargs)
-
-    return ScenarioPreset(name=name, description=description, generator=generator)
+_GRID_SCENARIOS = [
+    _grid_scenario(pool_size, *ratio)
+    for pool_size in (5, 9, 99)
+    for ratio in ((5, 4), (4, 5), (1, 8))
+]
 
 
 _PARTIAL_SCENARIOS: list[tuple[str, str, list[Group]]] = [
@@ -194,18 +167,16 @@ _PARTIAL_SCENARIOS: list[tuple[str, str, list[Group]]] = [
 ]
 
 
-def _build_catalog() -> dict[str, ScenarioPreset]:
-    catalog: dict[str, ScenarioPreset] = {}
-    for pool_size in (5, 9, 99):
-        for ratio in ((5, 4), (4, 5), (1, 8)):
-            preset = _grid_preset(pool_size, *ratio)
-            catalog[preset.name] = preset
-    for name, description, groups in _PARTIAL_SCENARIOS:
-        catalog[name] = _composition_preset(name, description, groups)
-    return catalog
+def _generator(groups: Sequence[Group]) -> Callable[..., ScenarioConfig]:
+    # Looks make_config up at call time, so a rebinding of the module
+    # attribute (a profiler's wrapper, a test double) is seen.
+    return lambda **kwargs: make_config(groups, **kwargs)
 
 
-_CATALOG = _build_catalog()
+_CATALOG = {
+    name: ScenarioPreset(name, description, _generator(groups))
+    for name, description, groups in _GRID_SCENARIOS + _PARTIAL_SCENARIOS
+}
 
 
 def list_scenarios() -> list[ScenarioPreset]:

@@ -56,15 +56,13 @@ class WorkerState:
         """Reply of a selected, available worker.
 
         Rational workers consume one draw to decide whether to cheat; the
-        fixed types reply deterministically.
+        fixed types reply deterministically by their pinned cheat_prob.
         """
-        wid = self.spec.worker_id
-        if self.spec.worker_type is WorkerType.MALICIOUS:
-            return Reply(wid, ReplyValue.WRONG, True)
-        if self.spec.worker_type is WorkerType.ALTRUISTIC:
-            return Reply(wid, ReplyValue.CORRECT, False)
-        cheat = rng.random() < self.cheat_prob
-        return Reply(wid, ReplyValue.WRONG if cheat else ReplyValue.CORRECT, cheat)
+        if self.spec.worker_type is WorkerType.RATIONAL:
+            cheat = rng.random() < self.cheat_prob
+        else:
+            cheat = self.cheat_prob == 1.0
+        return Reply(self.spec.worker_id, ReplyValue.WRONG if cheat else ReplyValue.CORRECT, cheat)
 
     def update_cheat_prob(
         self,
@@ -86,7 +84,3 @@ class WorkerState:
         else:
             p = self.cheat_prob - alpha_w * (payoff - payoffs.task_cost_WCt - a)
         self.cheat_prob = min(1.0, max(0.0, p))
-
-    @property
-    def learning_rate_override(self) -> float | None:
-        return self.spec.learning_rate

@@ -13,32 +13,35 @@ from contextlib import contextmanager
 import pytest
 
 from repsim import (
-    MasterState,
     MechanismParams,
     PayoffParams,
-    Reply,
     ReplyValue,
-    ReputationLedger,
     ReputationType,
     SelectionPolicy,
     Verdict,
     WorkerSpec,
-    WorkerState,
     WorkerType,
-    accept_by_weighted_majority,
-    assign_payoffs,
     check_theorem_1,
     check_theorem_2,
-    combined_reputation,
-    make_stream,
-    responsiveness,
     run_batch,
     run_single,
-    truthfulness,
-    update_audit_prob,
 )
 from repsim.cli import emit_results
+from repsim.master import (
+    MasterState,
+    accept_by_weighted_majority,
+    assign_payoffs,
+    update_audit_prob,
+)
+from repsim.model import make_stream
+from repsim.reputation import (
+    ReputationLedger,
+    combined_reputation,
+    responsiveness,
+    truthfulness,
+)
 from repsim.scenarios import build_scenario, make_config
+from repsim.worker import Reply, WorkerState
 
 L, E, B = ReputationType.LINEAR, ReputationType.EXPONENTIAL, ReputationType.BOINC
 EXACT = 1e-12

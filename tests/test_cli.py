@@ -7,6 +7,7 @@ from repsim import (
     ReputationType,
     SelectionPolicy,
     WorkerType,
+    config_to_dict,
     run_batch,
     save_config,
     validate_config,
@@ -139,6 +140,34 @@ class TestRunCommand:
         path = tmp_path / "bad.json"
         path.write_text('{"mechanism": {"pool_size_N": 9}}')
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("workers", 5, "workers must be a JSON array"),
+        ("workers", [7], "workers[0] must be a JSON object"),
+        ("mechanism", 3, "mechanism must be a JSON object"),
+        ("payoffs", [], "payoffs must be a JSON object"),
+    ])
+    def test_wrong_shaped_config_file_exits_2(self, tmp_path, capsys, section, value, message):
+        cfg = config_to_dict(build_scenario("S1"))
+        cfg[section] = value
+        path = tmp_path / "shaped.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment, message", [
+        ("mechanism=3", "mechanism must be a JSON object"),
+        ("workers={}", "workers must be a JSON array"),
+        ("mechanism.select_n=[5]", "invalid mechanism field select_n"),
+        ("max_rounds=Infinity", "invalid config field max_rounds"),
+        ("payoffs.reward_WBy=Infinity", "reward_WBy must be finite"),
+        ("mechanism.tolerance_tau=NaN", "tolerance_tau must be finite"),
+    ])
+    def test_wrong_shaped_or_non_finite_override_exits_2(
+        self, tmp_path, capsys, assignment, message
+    ):
+        assert self.run_s1(tmp_path, "--set", assignment) == 2
+        assert message in capsys.readouterr().err
 
     def test_all_runs_not_converged_exit_code(self, tmp_path, capsys):
         cfg = make_config(

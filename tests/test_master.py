@@ -1,26 +1,29 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repsim import (
-    MasterState,
     MechanismParams,
     PayoffParams,
-    Reply,
     ReplyValue,
     ReputationType,
     SelectionPolicy,
     WorkerSpec,
-    WorkerState,
     WorkerType,
+)
+from repsim.master import (
+    MasterState,
     accept_by_weighted_majority,
     assign_payoffs,
     decide_audit,
-    make_stream,
     run_master_round,
     select_top_n,
     select_workers,
     update_audit_prob,
 )
+from repsim.model import make_stream
+from repsim.worker import Reply, WorkerState
 
 PAYOFFS = PayoffParams()
 
@@ -240,7 +243,7 @@ class TestRunMasterRound:
             WorkerType.ALTRUISTIC, WorkerType.RATIONAL, WorkerType.MALICIOUS,
             availability=0.7,
         )
-        before = [led.copy() for led in master.ledgers]
+        before = [replace(led) for led in master.ledgers]
         outcome = run_master_round(master, pool, make_stream(30))
         for i, (was, now) in enumerate(zip(before, master.ledgers)):
             in_selected = i in outcome.selected

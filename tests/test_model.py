@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,10 +14,10 @@ from repsim import (
     config_from_dict,
     config_to_dict,
     load_config,
-    make_stream,
     save_config,
     validate_config,
 )
+from repsim.model import make_stream
 from repsim.scenarios import build_scenario, make_config
 
 
@@ -161,3 +162,51 @@ def test_same_seed_same_draws():
 def test_seed_for_is_base_seed_plus_k():
     config = build_scenario("S1", base_seed=1000)
     assert [config.seed_for(k) for k in range(3)] == [1000, 1001, 1002]
+
+
+FLOAT_FIELDS = [
+    ("mechanism", "audit_prob_initial"),
+    ("mechanism", "audit_prob_min"),
+    ("mechanism", "tolerance_tau"),
+    ("mechanism", "master_learning_rate_alpha_m"),
+    ("mechanism", "worker_learning_rate_alpha_w"),
+    ("mechanism", "exponential_base_epsilon"),
+    ("payoffs", "punishment_WPc"),
+    ("payoffs", "task_cost_WCt"),
+    ("payoffs", "reward_WBy"),
+    ("workers[3]", "availability"),
+    ("workers[3]", "aspiration"),
+    ("workers[3]", "initial_cheat_prob"),
+    ("workers[3]", "learning_rate"),
+]
+
+
+@pytest.mark.parametrize("section, name", FLOAT_FIELDS)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float_field_is_one_error(section, name, bad):
+    config = build_scenario("S5")
+    if section == "mechanism":
+        config = replace(config, mechanism=replace(config.mechanism, **{name: bad}))
+    elif section == "payoffs":
+        config = replace(config, payoffs=replace(config.payoffs, **{name: bad}))
+    else:
+        workers = list(config.workers)
+        workers[3] = replace(workers[3], **{name: bad})
+        config = replace(config, workers=tuple(workers))
+    errors = [d for d in validate_config(config) if d.severity == "error"]
+    assert [(d.field, d.message) for d in errors] == [
+        (f"{section}.{name}", f"{name} must be finite")
+    ]
+
+
+def test_every_float_field_is_checked_for_finiteness():
+    from dataclasses import fields
+
+    declared = {
+        (section, f.name)
+        for section, cls in (("mechanism", MechanismParams), ("payoffs", PayoffParams),
+                             ("workers[3]", WorkerSpec))
+        for f in fields(cls)
+        if "float" in str(f.type)
+    }
+    assert declared == set(FLOAT_FIELDS)

@@ -1,9 +1,16 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repsim import ReputationLedger, ReputationType, combined_reputation, responsiveness, truthfulness
+from repsim import ReputationType
+from repsim.reputation import (
+    ReputationLedger,
+    combined_reputation,
+    responsiveness,
+    truthfulness,
+)
 
 L, E, B = ReputationType.LINEAR, ReputationType.EXPONENTIAL, ReputationType.BOINC
 
@@ -128,10 +135,10 @@ def test_reputations_bounded(history):
 def test_linear_monotonicity(history):
     led = replay(history)
     before = truthfulness(led, L)
-    honest = led.copy()
+    honest = replace(led)
     honest.record_audit_outcome(True)
     assert truthfulness(honest, L) >= before
-    caught = led.copy()
+    caught = replace(led)
     caught.record_audit_outcome(False)
     assert truthfulness(caught, L) <= before
 

@@ -6,10 +6,10 @@ from repsim import (
     PayoffParams,
     ReplyValue,
     WorkerSpec,
-    WorkerState,
     WorkerType,
-    make_stream,
 )
+from repsim.model import make_stream
+from repsim.worker import WorkerState
 
 PAYOFFS = PayoffParams(punishment_WPc=0.0, task_cost_WCt=0.1, reward_WBy=1.0)
 ALPHA = 0.1
