@@ -8,21 +8,25 @@ have been observed since the last catch.
 """
 
 from repsim import ReputationType
-from repsim.reputation import ReputationLedger, truthfulness
+from repsim.reputation import truthfulness
 
 history = [True] * 8 + [False, False] + [True] * 10
 
-ledger = ReputationLedger()
+# the master's counters for this worker: audits, honest audits, honest streak
+audits = honest = streak = 0
 print(f"{'audit':>5} {'outcome':>8} {'LINEAR':>8} {'EXPONENTIAL':>12} {'BOINC':>7}")
-for i, honest in enumerate(history, start=1):
-    ledger.record_selection()
-    ledger.record_reply()
-    ledger.record_audit_outcome(honest)
+for i, was_honest in enumerate(history, start=1):
+    audits += 1
+    if was_honest:
+        honest += 1
+        streak += 1
+    else:
+        streak = 0
     scores = [
-        truthfulness(ledger, rep_type, epsilon=0.5)
+        truthfulness(rep_type, audits, honest, streak, epsilon=0.5)
         for rep_type in (ReputationType.LINEAR, ReputationType.EXPONENTIAL, ReputationType.BOINC)
     ]
-    outcome = "honest" if honest else "CAUGHT"
+    outcome = "honest" if was_honest else "CAUGHT"
     print(f"{i:>5} {outcome:>8} {scores[0]:>8.3f} {scores[1]:>12.3f} {scores[2]:>7.3f}")
 
 print(

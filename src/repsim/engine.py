@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .master import MasterState, RoundOutcome, run_master_round
+from .master import RoundOutcome, RunState, run_master_round
 from .model import (
     ReplyValue,
     ReputationType,
@@ -20,7 +20,6 @@ from .model import (
     make_stream,
     validate_config,
 )
-from .worker import WorkerState
 
 __all__ = [
     "WorkerSnapshot",
@@ -149,10 +148,8 @@ def run_single(
     returned; the metrics are identical either way.
     """
     _require_valid(config)
-    specs = sorted(config.workers, key=lambda w: w.worker_id)
-    workers = [WorkerState.from_spec(s) for s in specs]
     rng = make_stream(seed)
-    master = MasterState(config.mechanism, config.payoffs, rng)
+    state = RunState(config, rng)
     p_min = config.mechanism.audit_prob_min
     horizon = config.post_convergence_horizon
 
@@ -164,12 +161,12 @@ def run_single(
     empty_after = 0
 
     for r in range(1, config.max_rounds + 1):
-        audit_prob_before = master.audit_prob
-        outcome = run_master_round(master, workers, rng)
+        audit_prob_before = state.audit_prob
+        outcome = run_master_round(state, rng)
         if keep_records:
             snapshots = tuple(
-                WorkerSnapshot(i, workers[i].spec.worker_type.value, workers[i].cheat_prob,
-                               float(master.resp[i]), float(master.truth[i]))
+                WorkerSnapshot(i, state.specs[i].worker_type.value, state.cheat_prob[i],
+                               float(state.resp[i]), float(state.truth[i]))
                 for i in outcome.selected
             )
             records.append(RoundRecord(r, outcome, snapshots, audit_prob_before))
@@ -180,7 +177,7 @@ def run_single(
                 audits_before_convergence += 1
             if accepted is ReplyValue.WRONG:
                 incorrect_before += 1
-            if master.audit_prob == p_min:
+            if state.audit_prob == p_min:
                 convergence_round = r
         else:
             if accepted is ReplyValue.WRONG:

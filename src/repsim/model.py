@@ -1,6 +1,6 @@
 """Domain types, scenario configuration, validation, and seeded randomness.
 
-Everything downstream (reputation ledgers, the master controller, the run
+Everything downstream (the reputation scores, the master's round, the run
 engine) shares the types defined here. A :class:`ScenarioConfig` is a plain,
 JSON-serializable value object; two runs built from equal configs and equal
 seeds produce identical round streams.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -248,6 +249,29 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
     return d
 
 
+def _scalar(tp: type) -> Callable[[Any], Any]:
+    """Strict JSON scalar -> ``tp``: an int field takes integers and
+    integral floats, a float field any number, an enum field one of its
+    names; anything else (bools and strings included) raises TypeError."""
+    if issubclass(tp, Enum):
+        def enum(v: Any) -> Enum:
+            try:
+                return tp(v)
+            except ValueError as exc:
+                raise TypeError(exc) from None
+
+        return enum
+
+    def number(v: Any) -> Any:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or (
+            tp is int and not isinstance(v, numbers.Integral) and not float(v).is_integer()
+        ):
+            raise TypeError(f"expected {'an integer' if tp is int else 'a number'}, got {v!r}")
+        return tp(v)
+
+    return number
+
+
 def _converter(tp: Any, name: str) -> Callable[[Any], Any]:
     """JSON value -> value of field ``name`` annotated ``tp``."""
     if is_dataclass(tp):
@@ -262,8 +286,9 @@ def _converter(tp: Any, name: str) -> Callable[[Any], Any]:
 
         return array
     if get_args(tp):  # ``float | None``
-        return lambda v: None if v is None else get_args(tp)[0](v)
-    return tp
+        convert = _scalar(get_args(tp)[0])
+        return lambda v: None if v is None else convert(v)
+    return _scalar(tp)
 
 
 @functools.cache

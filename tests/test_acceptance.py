@@ -17,6 +17,7 @@ from repsim import (
     PayoffParams,
     ReplyValue,
     ReputationType,
+    ScenarioConfig,
     SelectionPolicy,
     Verdict,
     WorkerSpec,
@@ -28,20 +29,16 @@ from repsim import (
 )
 from repsim.cli import emit_results
 from repsim.master import (
-    MasterState,
+    RunState,
     accept_by_weighted_majority,
     assign_payoffs,
+    run_master_round,
     update_audit_prob,
 )
 from repsim.model import make_stream
-from repsim.reputation import (
-    ReputationLedger,
-    combined_reputation,
-    responsiveness,
-    truthfulness,
-)
+from repsim.reputation import responsiveness, truthfulness
 from repsim.scenarios import build_scenario, make_config
-from repsim.worker import Reply, WorkerState
+from repsim.worker import update_cheat_prob
 
 L, E, B = ReputationType.LINEAR, ReputationType.EXPONENTIAL, ReputationType.BOINC
 EXACT = 1e-12
@@ -65,54 +62,62 @@ def criterion(number: int, name: str, budget_s: float):
     print(line + f"PASS ({elapsed:.1f}s, budget {budget_s:.0f}s){note}")
 
 
-def ledger(select=0, reply=0, audited=0, correct=0, streak=0):
-    return ReputationLedger(select, reply, audited, correct, streak)
+def state(worker_type, n_pool=9, select_n=5, audit_prob=0.5, reputation=L, payoffs=PayoffParams(),
+          policy=SelectionPolicy.REPUTATION):
+    workers = tuple(WorkerSpec(i, worker_type) for i in range(n_pool))
+    params = MechanismParams(
+        pool_size_N=n_pool, select_n=select_n, audit_prob_initial=audit_prob,
+        reputation_type=reputation, selection_policy=policy,
+    )
+    return RunState(ScenarioConfig(workers, payoffs, params), make_stream(0))
+
+
+def counters(run_state):
+    return (run_state.selections[0], run_state.replies[0], run_state.audits[0],
+            run_state.honest[0], run_state.streak[0])
 
 
 def test_c1_formula_unit_suite():
     with criterion(1, "formula-unit-suite", budget_s=1.0):
-        # responsiveness
-        assert responsiveness(ledger()) == 1.0
-        assert abs(responsiveness(ledger(select=4, reply=2)) - 0.6) < EXACT
-        assert responsiveness(ledger(select=10, reply=10)) == 1.0
+        # responsiveness (replies, selections)
+        assert responsiveness(0, 0) == 1.0
+        assert abs(responsiveness(2, 4) - 0.6) < EXACT
+        assert responsiveness(10, 10) == 1.0
 
-        # truthfulness, all three types
-        assert abs(truthfulness(ledger(audited=4, correct=3), L) - 0.8) < EXACT
-        assert abs(truthfulness(ledger(audited=5, correct=3), E, 0.5) - 0.25) < EXACT
-        assert truthfulness(ledger(audited=9, correct=9, streak=9), B) == 0.0
-        assert abs(truthfulness(ledger(audited=10, correct=10, streak=10), B) - 0.9) < EXACT
-        fresh = ledger()
-        assert truthfulness(fresh, L) == 1.0
-        assert truthfulness(fresh, E, 0.5) == 1.0
-        assert truthfulness(fresh, B) == 0.0
+        # truthfulness (type, audits, honest audits, streak), all three types
+        assert abs(truthfulness(L, 4, 3, 0) - 0.8) < EXACT
+        assert abs(truthfulness(E, 5, 3, 0, 0.5) - 0.25) < EXACT
+        assert truthfulness(B, 9, 9, 9) == 0.0
+        assert abs(truthfulness(B, 10, 10, 10) - 0.9) < EXACT
+        assert truthfulness(L, 0, 0, 0) == 1.0
+        assert truthfulness(E, 0, 0, 0, 0.5) == 1.0
+        assert truthfulness(B, 0, 0, 0) == 0.0
 
-        # combined reputation
-        assert combined_reputation(fresh, L) == 1.0
-        assert combined_reputation(fresh, B) == 0.0
-        assert abs(
-            combined_reputation(ledger(select=4, reply=2, audited=4, correct=3), L) - 0.48
-        ) < EXACT
+        # combined reputation: selection ranks responsiveness x truthfulness
+        fresh = state(WorkerType.ALTRUISTIC)
+        assert all(fresh.resp * fresh.truth == 1.0)
+        fresh = state(WorkerType.ALTRUISTIC, reputation=B)
+        assert all(fresh.resp * fresh.truth == 0.0)
+        assert abs(responsiveness(2, 4) * truthfulness(L, 4, 3, 0) - 0.48) < EXACT
 
-        # counter operations
-        led = ledger()
-        led.record_selection()
-        assert led == ledger(select=1)
-        led.record_reply()
-        led.record_audit_outcome(True)
-        assert led == ledger(select=1, reply=1, audited=1, correct=1, streak=1)
-        led = ledger(select=30, reply=30, audited=25, correct=23, streak=23)
-        led.record_audit_outcome(False)
-        assert led.streak == 0
+        # counter operations, through one round of a single selected worker
+        one = state(WorkerType.ALTRUISTIC, n_pool=1, select_n=1, audit_prob=1.0,
+                    policy=SelectionPolicy.FIXED_RANDOM)
+        run_master_round(one, make_stream(3))
+        assert counters(one) == (1, 1, 1, 1, 1)
+        one = state(WorkerType.MALICIOUS, n_pool=1, select_n=1, audit_prob=1.0,
+                    policy=SelectionPolicy.FIXED_RANDOM)
+        one.selections[0], one.replies[0], one.audits[0], one.honest[0], one.streak[0] = (
+            30, 30, 25, 23, 23
+        )
+        run_master_round(one, make_stream(4))
+        assert counters(one) == (31, 31, 26, 23, 0)
 
         # rational worker learning updates (shared parameterization)
         payoffs = PayoffParams(punishment_WPc=0.0, task_cost_WCt=0.1, reward_WBy=1.0)
 
         def updated(p0, payoff, did_cheat):
-            w = WorkerState.from_spec(
-                WorkerSpec(0, WorkerType.RATIONAL, aspiration=0.1, initial_cheat_prob=p0)
-            )
-            w.update_cheat_prob(payoff, did_cheat, payoffs, alpha_w=0.1)
-            return w.cheat_prob
+            return update_cheat_prob(p0, payoff, did_cheat, 0.1, payoffs.task_cost_WCt, 0.1)
 
         assert abs(updated(0.5, 1.0, True) - 0.59) < EXACT
         assert abs(updated(0.5, 1.0, False) - 0.42) < EXACT
@@ -121,11 +126,8 @@ def test_c1_formula_unit_suite():
 
         # audit-probability controller
         def master(audit_prob, reputation=L):
-            params = MechanismParams(
-                pool_size_N=9, select_n=5, audit_prob_initial=audit_prob,
-                reputation_type=reputation,
-            )
-            return MasterState(params, payoffs, make_stream(0))
+            return state(WorkerType.ALTRUISTIC, audit_prob=audit_prob, reputation=reputation,
+                         payoffs=payoffs)
 
         assert abs(update_audit_prob(master(0.5), [0, 1, 2], []) - 0.45) < EXACT
         assert abs(update_audit_prob(master(0.5), [0, 1], [0, 1]) - 0.55) < EXACT
@@ -133,19 +135,17 @@ def test_c1_formula_unit_suite():
         assert update_audit_prob(master(0.95, reputation=B), [0, 1, 2], []) == 1.0
 
         # weighted majority and payoff assignment
-        replies = [
-            Reply(0, ReplyValue.CORRECT, False),
-            Reply(1, ReplyValue.CORRECT, False),
-            Reply(2, ReplyValue.WRONG, True),
-        ]
+        responders, cheats = (0, 1, 2), (False, False, True)
         accepted, rewarded = accept_by_weighted_majority(
-            replies, {0: 0.9, 1: 0.8, 2: 0.4}, make_stream(1)
+            responders, cheats, {0: 0.9, 1: 0.8, 2: 0.4}, make_stream(1)
         )
         assert accepted is ReplyValue.CORRECT and rewarded == (0, 1)
-        assert accept_by_weighted_majority([], {}, make_stream(2)) == (None, ())
-        assert assign_payoffs(True, [Reply(0, ReplyValue.WRONG, True)], (), payoffs) == {0: 0.0}
-        assert assign_payoffs(True, [Reply(0, ReplyValue.CORRECT, False)], (), payoffs) == {0: 1.0}
-        assert assign_payoffs(False, replies, (0, 1), payoffs) == {0: 1.0, 1: 1.0, 2: 0.0}
+        assert accept_by_weighted_majority((), (), {}, make_stream(2)) == (None, ())
+        assert assign_payoffs(True, (0,), (True,), (), payoffs) == {0: 0.0}
+        assert assign_payoffs(True, (0,), (False,), (), payoffs) == {0: 1.0}
+        assert assign_payoffs(False, responders, cheats, (0, 1), payoffs) == {
+            0: 1.0, 1: 1.0, 2: 0.0
+        }
 
 
 def test_c2_deterministic_audit_count_law():

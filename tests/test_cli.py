@@ -162,6 +162,9 @@ class TestRunCommand:
         ("max_rounds=Infinity", "invalid config field max_rounds"),
         ("payoffs.reward_WBy=Infinity", "reward_WBy must be finite"),
         ("mechanism.tolerance_tau=NaN", "tolerance_tau must be finite"),
+        ("mechanism.select_n=4.9", "invalid mechanism field select_n"),
+        ("mechanism.tolerance_tau=abc", "invalid mechanism field tolerance_tau"),
+        ("num_instantiations=true", "invalid config field num_instantiations"),
     ])
     def test_wrong_shaped_or_non_finite_override_exits_2(
         self, tmp_path, capsys, assignment, message

@@ -216,3 +216,24 @@ class TestReinforcementDirection:
         ]
         means.reverse()
         assert all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
+
+
+class TestTheorem2Witness:
+    def test_s2_boinc_seed_2138_empty_rounds_after_convergence(self):
+        # Theorem 2 case (b): with n or more partially available altruists, a
+        # violation has positive probability. On this seed the d=1 altruist
+        # (worker 0) drops out of the frozen top n, and every post-convergence
+        # round in which all selected d=0.5 workers are away accepts nothing.
+        cfg = build_scenario("S2", reputation_type="boinc", post_convergence_horizon=500)
+        records, m = run_single(cfg, 2138)
+        assert m.convergence_round == 107
+        assert m.empty_rounds_after_convergence == 18
+        assert m.incorrect_after_convergence == 0
+        assert m.eventual_correctness_violated
+        availability = {w.worker_id: w.availability for w in cfg.workers}
+        assert availability[0] == 1.0
+        empty = [r for r in records[m.convergence_round:] if r.outcome.accepted_value is None]
+        assert len(empty) == 18
+        for rec in empty:
+            assert 0 not in rec.outcome.selected
+            assert all(availability[i] == 0.5 for i in rec.outcome.selected)

@@ -1,5 +1,6 @@
-"""Golden-output regression: the CLI's emitted bytes and the theorem checks'
-reason strings, pinned against digests recorded from a reference build.
+"""Golden-output regression: the CLI's emitted bytes, the theorem checks'
+reason strings and the stdout of the fast demos, pinned against digests
+recorded from a reference build.
 
 Any change here means the random streams, a metric, a file format or the
 printed summary changed. Such a change must be deliberate and declared;
@@ -10,6 +11,7 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
 import sys
 from pathlib import Path
 
@@ -27,6 +29,8 @@ from repsim.cli import main
 from repsim.scenarios import build_scenario, make_config
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
+DEMOS = Path(__file__).parent.parent / "demos"
+PINNED_DEMOS = ("01_reputation_types.py", "05_frozen_selection_pitfall.py")
 
 PRESETS = ("S1", "S2", "S3", "S4", "S5", "S6", "p5-r5m4", "p9-r4m5", "p99-r1m8")
 REPUTATIONS = ("linear", "exponential", "boinc")
@@ -59,6 +63,11 @@ def _cases(tmp: Path) -> dict[str, list[str]]:
         for preset in PRESETS for rep in REPUTATIONS for fmt in FORMATS
     }
     cases["S3/linear/pa1/csv"] = ["S3", "--pa-init", "1.0", *COMMON]
+    for fmt in FORMATS:  # a base other than the default 0.5
+        cases[f"S3/exponential/eps0.3/{fmt}"] = [
+            "S3", "--reputation", "exponential", "--set", "mechanism.exponential_base_epsilon=0.3",
+            "--format", fmt, *COMMON,
+        ]
     for name, path in _config_files(tmp).items():
         for fmt in FORMATS:
             cases[f"{name}/{fmt}"] = [str(path), "--format", fmt, "--trace"]
@@ -119,6 +128,17 @@ def _batch_digests(tmp: Path) -> dict[str, str]:
     }
 
 
+def _demo_digests() -> dict[str, str]:
+    """sha256 of each pinned demo's stdout."""
+    out = {}
+    for name in PINNED_DEMOS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            runpy.run_path(str(DEMOS / name), run_name="__main__")
+        out[name] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -135,10 +155,18 @@ def test_theorem_reports_match_golden(golden):
     assert _theorem_reports() == golden["theorems"]
 
 
+def test_demo_outputs_match_golden(golden):
+    assert _demo_digests() == golden["demos"]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        pins = {"batches": _batch_digests(Path(tmp)), "theorems": _theorem_reports()}
+        pins = {
+            "batches": _batch_digests(Path(tmp)),
+            "theorems": _theorem_reports(),
+            "demos": _demo_digests(),
+        }
         GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -8,12 +6,13 @@ from repsim import (
     PayoffParams,
     ReplyValue,
     ReputationType,
+    ScenarioConfig,
     SelectionPolicy,
     WorkerSpec,
     WorkerType,
 )
 from repsim.master import (
-    MasterState,
+    RunState,
     accept_by_weighted_majority,
     assign_payoffs,
     decide_audit,
@@ -23,38 +22,39 @@ from repsim.master import (
     update_audit_prob,
 )
 from repsim.model import make_stream
-from repsim.worker import Reply, WorkerState
 
 PAYOFFS = PayoffParams()
+COLUMNS = ("selections", "replies", "audits", "honest", "streak")
 
 
-def make_master(
-    n_pool=9,
+def make_state(
+    *types,
     select_n=5,
     audit_prob=0.5,
     reputation=ReputationType.LINEAR,
     policy=SelectionPolicy.REPUTATION,
     audit_prob_min=0.01,
+    availability=1.0,
+    cheat_prob=0.5,
+    learning_rate=None,
     seed=0,
 ):
+    """Run state over a pool of the given types (default: 9 altruistic)."""
+    types = types or (WorkerType.ALTRUISTIC,) * 9
+    workers = tuple(
+        WorkerSpec(i, t, availability=availability, initial_cheat_prob=cheat_prob,
+                   learning_rate=learning_rate)
+        for i, t in enumerate(types)
+    )
     params = MechanismParams(
-        pool_size_N=n_pool,
+        pool_size_N=len(types),
         select_n=select_n,
         audit_prob_initial=audit_prob,
         audit_prob_min=audit_prob_min,
         reputation_type=reputation,
         selection_policy=policy,
     )
-    return MasterState(params, PAYOFFS, make_stream(seed))
-
-
-def make_pool(*types, availability=1.0, cheat_prob=0.5):
-    return [
-        WorkerState.from_spec(
-            WorkerSpec(i, t, availability=availability, initial_cheat_prob=cheat_prob)
-        )
-        for i, t in enumerate(types)
-    ]
+    return RunState(ScenarioConfig(workers, PAYOFFS, params), make_stream(seed))
 
 
 class TestSelection:
@@ -75,7 +75,7 @@ class TestSelection:
             assert select_top_n([1.0, 1.0, 0.2, 0.1, 0.0], 2, rng) == [0, 1]
 
     def test_fixed_random_returns_same_set_every_round(self):
-        master = make_master(policy=SelectionPolicy.FIXED_RANDOM, seed=13)
+        master = make_state(policy=SelectionPolicy.FIXED_RANDOM, seed=13)
         rng = make_stream(14)
         first = select_workers(master, rng)
         assert len(first) == 5
@@ -83,7 +83,7 @@ class TestSelection:
         assert master.fixed_selection == tuple(first)
 
     def test_reputation_selection_returns_n_sorted_ids(self):
-        master = make_master(seed=15)
+        master = make_state(seed=15)
         rng = make_stream(16)
         picked = select_workers(master, rng)
         assert len(picked) == 5 == len(set(picked))
@@ -92,18 +92,18 @@ class TestSelection:
 
 class TestDecideAudit:
     def test_certain_audit(self):
-        master = make_master(audit_prob=1.0)
+        master = make_state(audit_prob=1.0)
         rng = make_stream(17)
         assert all(decide_audit(master, rng) for _ in range(100))
 
     def test_minimum_audit_rate(self):
-        master = make_master(audit_prob=0.01)
+        master = make_state(audit_prob=0.01)
         rng = make_stream(18)
         freq = np.mean([decide_audit(master, rng) for _ in range(100_000)])
         assert 0.007 <= freq <= 0.013
 
     def test_consumes_exactly_one_draw(self):
-        master = make_master()
+        master = make_state()
         a, b = make_stream(19), make_stream(19)
         decide_audit(master, a)
         b.random()
@@ -112,101 +112,84 @@ class TestDecideAudit:
 
 class TestWeightedMajority:
     def test_strict_maximum_group(self):
-        replies = [
-            Reply(0, ReplyValue.CORRECT, False),
-            Reply(1, ReplyValue.CORRECT, False),
-            Reply(2, ReplyValue.WRONG, True),
-        ]
         truth = {0: 0.9, 1: 0.8, 2: 0.4}
-        accepted, rewarded = accept_by_weighted_majority(replies, truth, make_stream(20))
+        accepted, rewarded = accept_by_weighted_majority(
+            (0, 1, 2), (False, False, True), truth, make_stream(20)
+        )
         assert accepted is ReplyValue.CORRECT
         assert rewarded == (0, 1)
 
     def test_all_zero_scores_tie_breaks_uniformly(self):
-        replies = [
-            Reply(0, ReplyValue.CORRECT, False),
-            Reply(1, ReplyValue.WRONG, True),
-        ]
         truth = {0: 0.0, 1: 0.0}
         rng = make_stream(21)
         trials = 10_000
         correct = sum(
-            accept_by_weighted_majority(replies, truth, rng)[0] is ReplyValue.CORRECT
+            accept_by_weighted_majority((0, 1), (False, True), truth, rng)[0]
+            is ReplyValue.CORRECT
             for _ in range(trials)
         )
         assert abs(correct / trials - 0.5) <= 0.02
 
     def test_no_replies(self):
-        accepted, rewarded = accept_by_weighted_majority([], {}, make_stream(22))
+        accepted, rewarded = accept_by_weighted_majority((), (), {}, make_stream(22))
         assert accepted is None
         assert rewarded == ()
 
     def test_scaling_truth_scores_preserves_accepted_group(self):
         # multiplying every score by a power of two is exact in floats, so the
         # argmax (and any tie) is untouched
-        replies = [
-            Reply(0, ReplyValue.CORRECT, False),
-            Reply(1, ReplyValue.WRONG, True),
-            Reply(2, ReplyValue.WRONG, True),
-        ]
+        responders, cheats = (0, 1, 2), (False, True, True)
         truth = {0: 0.7, 1: 0.3, 2: 0.35}
         for scale in (0.25, 0.5, 2.0, 1024.0):
-            base = accept_by_weighted_majority(replies, truth, make_stream(23))
+            base = accept_by_weighted_majority(responders, cheats, truth, make_stream(23))
             scaled = accept_by_weighted_majority(
-                replies, {k: v * scale for k, v in truth.items()}, make_stream(23)
+                responders, cheats, {k: v * scale for k, v in truth.items()}, make_stream(23)
             )
             assert base == scaled
 
 
 class TestPayoffs:
     def test_audited_cheater_without_punishment(self):
-        replies = [Reply(0, ReplyValue.WRONG, True)]
-        assert assign_payoffs(True, replies, (), PAYOFFS) == {0: 0.0}
+        assert assign_payoffs(True, (0,), (True,), (), PAYOFFS) == {0: 0.0}
 
     def test_audited_cheater_with_punishment(self):
         payoffs = PayoffParams(punishment_WPc=0.5)
-        replies = [Reply(0, ReplyValue.WRONG, True)]
-        assert assign_payoffs(True, replies, (), payoffs) == {0: -0.5}
+        assert assign_payoffs(True, (0,), (True,), (), payoffs) == {0: -0.5}
 
     def test_audited_truthful_rewarded(self):
-        replies = [Reply(0, ReplyValue.CORRECT, False)]
-        assert assign_payoffs(True, replies, (), PAYOFFS) == {0: 1.0}
+        assert assign_payoffs(True, (0,), (False,), (), PAYOFFS) == {0: 1.0}
 
     def test_unaudited_outside_accepted_group_gets_zero(self):
-        replies = [
-            Reply(0, ReplyValue.CORRECT, False),
-            Reply(1, ReplyValue.WRONG, True),
-        ]
-        assert assign_payoffs(False, replies, (0,), PAYOFFS) == {0: 1.0, 1: 0.0}
+        payoffs = assign_payoffs(False, (0, 1), (False, True), (0,), PAYOFFS)
+        assert payoffs == {0: 1.0, 1: 0.0}
 
 
 class TestUpdateAuditProb:
     def test_no_cheaters_decreases(self):
-        master = make_master()  # fresh LINEAR ledgers: truthfulness 1 everywhere
+        master = make_state()  # fresh LINEAR counters: truthfulness 1 everywhere
         assert update_audit_prob(master, [0, 1, 2], []) == pytest.approx(0.45, abs=1e-12)
 
     def test_all_caught_increases(self):
-        master = make_master()
+        master = make_state()
         assert update_audit_prob(master, [0, 1], [0, 1]) == pytest.approx(0.55, abs=1e-12)
 
     def test_clamped_at_minimum(self):
-        master = make_master(audit_prob=0.05)
+        master = make_state(audit_prob=0.05)
         assert update_audit_prob(master, [0, 1], []) == 0.01
 
     def test_zero_aggregate_truthfulness_escalates(self):
-        master = make_master(reputation=ReputationType.BOINC, audit_prob=0.95)
+        master = make_state(reputation=ReputationType.BOINC, audit_prob=0.95)
         assert update_audit_prob(master, [0, 1, 2], []) == 1.0
 
     def test_never_exceeds_one(self):
-        master = make_master(audit_prob=1.0)
+        master = make_state(audit_prob=1.0)
         assert update_audit_prob(master, [0, 1], [0, 1]) == 1.0
 
 
 class TestRunMasterRound:
     def test_all_altruistic_audited_round(self):
-        master = make_master(audit_prob=1.0)
-        pool = make_pool(*[WorkerType.ALTRUISTIC] * 9)
-        outcome = run_master_round(master, pool, make_stream(24))
+        master = make_state(audit_prob=1.0)
+        outcome = run_master_round(master, make_stream(24))
         assert outcome.audited
         assert outcome.cheaters_caught == ()
         assert outcome.accepted_value is ReplyValue.CORRECT
@@ -214,77 +197,76 @@ class TestRunMasterRound:
         assert all(p == 1.0 for p in outcome.payoffs.values())
 
     def test_all_malicious_unaudited_accepts_wrong(self):
-        master = make_master(
-            n_pool=5, select_n=5, audit_prob=1e-12, audit_prob_min=1e-12,
+        master = make_state(
+            *[WorkerType.MALICIOUS] * 5, select_n=5, audit_prob=1e-12, audit_prob_min=1e-12,
             policy=SelectionPolicy.FIXED_RANDOM, seed=25,
         )
-        pool = make_pool(*[WorkerType.MALICIOUS] * 5)
-        outcome = run_master_round(master, pool, make_stream(26))
+        outcome = run_master_round(master, make_stream(26))
         assert not outcome.audited
         assert outcome.accepted_value is ReplyValue.WRONG
         assert outcome.audit_prob_after == 1e-12
 
     def test_all_unavailable_accepts_none(self):
-        master = make_master(
-            n_pool=5, select_n=5, audit_prob=1e-12, audit_prob_min=1e-12,
-            policy=SelectionPolicy.FIXED_RANDOM, seed=27,
+        master = make_state(
+            *[WorkerType.MALICIOUS] * 5, select_n=5, audit_prob=1e-12, audit_prob_min=1e-12,
+            policy=SelectionPolicy.FIXED_RANDOM, availability=1e-12, seed=27,
         )
-        pool = make_pool(*[WorkerType.MALICIOUS] * 5, availability=1e-12)
-        outcome = run_master_round(master, pool, make_stream(28))
+        outcome = run_master_round(master, make_stream(28))
         assert outcome.responders == ()
         assert outcome.accepted_value is None
         assert outcome.payoffs == {}
 
-    def test_ledger_deltas_per_round(self):
-        master = make_master(audit_prob=1.0, seed=29)
-        pool = make_pool(
+    def test_counter_deltas_per_round(self):
+        master = make_state(
             WorkerType.ALTRUISTIC, WorkerType.ALTRUISTIC, WorkerType.MALICIOUS,
             WorkerType.RATIONAL, WorkerType.RATIONAL, WorkerType.MALICIOUS,
             WorkerType.ALTRUISTIC, WorkerType.RATIONAL, WorkerType.MALICIOUS,
-            availability=0.7,
+            audit_prob=1.0, availability=0.7, seed=29,
         )
-        before = [replace(led) for led in master.ledgers]
-        outcome = run_master_round(master, pool, make_stream(30))
-        for i, (was, now) in enumerate(zip(before, master.ledgers)):
+        for column in COLUMNS:  # a streak to reset or extend
+            getattr(master, column)[:] = [3] * 9
+        before = {column: list(getattr(master, column)) for column in COLUMNS}
+        outcome = run_master_round(master, make_stream(30))
+        for i in range(9):
+            delta = {column: getattr(master, column)[i] - before[column][i]
+                     for column in COLUMNS}
             in_selected = i in outcome.selected
             in_responders = i in outcome.responders
-            assert now.select_count - was.select_count == int(in_selected)
-            assert now.reply_select_count - was.reply_select_count == int(in_responders)
-            audited_delta = now.audit_reply_select_count - was.audit_reply_select_count
-            assert audited_delta == int(in_responders and outcome.audited)
+            audited = in_responders and outcome.audited
+            caught = i in outcome.cheaters_caught
+            assert delta["selections"] == int(in_selected)
+            assert delta["replies"] == int(in_responders)
+            assert delta["audits"] == int(audited)
+            assert delta["honest"] == int(audited and not caught)
+            assert master.streak[i] == (0 if caught else 3 + int(audited))
 
     def test_unaudited_round_keeps_audit_prob(self):
-        master = make_master(audit_prob=1e-12, audit_prob_min=1e-12, seed=31)
-        pool = make_pool(*[WorkerType.ALTRUISTIC] * 9)
-        outcome = run_master_round(master, pool, make_stream(32))
+        master = make_state(audit_prob=1e-12, audit_prob_min=1e-12, seed=31)
+        outcome = run_master_round(master, make_stream(32))
         assert not outcome.audited
         assert outcome.audit_prob_after == 1e-12
 
     def test_per_worker_learning_rate_override(self):
-        from dataclasses import replace
-
-        master = make_master(audit_prob=1.0, seed=40)
-        pool = make_pool(*[WorkerType.RATIONAL] * 9)
-        for w in pool:
-            w.spec = replace(w.spec, learning_rate=0.05)
-        outcome = run_master_round(master, pool, make_stream(41))
+        master = make_state(*[WorkerType.RATIONAL] * 9, audit_prob=1.0, learning_rate=0.05,
+                            seed=40)
+        outcome = run_master_round(master, make_stream(41))
         for i in outcome.responders:
             payoff = outcome.payoffs[i]
             if i in outcome.cheaters_caught:
                 expected = 0.5 + 0.05 * (payoff - 0.1)
             else:
                 expected = 0.5 - 0.05 * (payoff - 0.1 - 0.1)
-            assert pool[i].cheat_prob == pytest.approx(
+            assert master.cheat_prob[i] == pytest.approx(
                 min(1.0, max(0.0, expected)), abs=1e-12
             )
 
     def test_rational_workers_update_only_when_they_responded(self):
-        master = make_master(audit_prob=1.0, seed=33)
-        pool = make_pool(*[WorkerType.RATIONAL] * 9, availability=0.5)
-        before = [w.cheat_prob for w in pool]
-        outcome = run_master_round(master, pool, make_stream(34))
-        for i, w in enumerate(pool):
+        master = make_state(*[WorkerType.RATIONAL] * 9, audit_prob=1.0, availability=0.5,
+                            seed=33)
+        before = list(master.cheat_prob)
+        outcome = run_master_round(master, make_stream(34))
+        for i, p in enumerate(master.cheat_prob):
             if i in outcome.responders:
-                assert w.cheat_prob != before[i]
+                assert p != before[i]
             else:
-                assert w.cheat_prob == before[i]
+                assert p == before[i]

@@ -210,3 +210,64 @@ def test_every_float_field_is_checked_for_finiteness():
         if "float" in str(f.type)
     }
     assert declared == set(FLOAT_FIELDS)
+
+
+INT_FIELDS = [
+    ("config", "num_instantiations"),
+    ("config", "max_rounds"),
+    ("config", "post_convergence_horizon"),
+    ("config", "base_seed"),
+    ("mechanism", "pool_size_N"),
+    ("mechanism", "select_n"),
+    ("worker", "worker_id"),
+]
+
+
+def _with_field(section, name, value):
+    d = config_to_dict(build_scenario("S5"))
+    node = {"config": d, "mechanism": d["mechanism"], "payoffs": d["payoffs"]}.get(section)
+    if node is None:  # a worker field, set on worker 3
+        node = d["workers"][3]
+    node[name] = value
+    return d
+
+
+@pytest.mark.parametrize("section, name", INT_FIELDS)
+@pytest.mark.parametrize("bad", [True, False, 4.9, -0.5, float("inf"), "5", "abc", None, [5]])
+def test_int_field_rejects_non_integers(section, name, bad):
+    with pytest.raises(ValueError, match=rf"^invalid {section} field {name}: "):
+        config_from_dict(_with_field(section, name, bad))
+
+
+@pytest.mark.parametrize("section, name", INT_FIELDS)
+def test_int_field_accepts_integral_float(section, name):
+    d = _with_field(section, name, 5)
+    assert config_from_dict(_with_field(section, name, 5.0)) == config_from_dict(d)
+
+
+@pytest.mark.parametrize("section, name", [
+    ("worker" if s.startswith("workers") else s, n) for s, n in FLOAT_FIELDS
+])
+@pytest.mark.parametrize("bad", [True, "0.5", "abc"])
+def test_float_field_rejects_bools_and_strings(section, name, bad):
+    with pytest.raises(ValueError, match=rf"^invalid {section} field {name}: "):
+        config_from_dict(_with_field(section, name, bad))
+
+
+@pytest.mark.parametrize("name", ["reputation_type", "selection_policy"])
+def test_enum_field_error_names_the_field(name):
+    with pytest.raises(ValueError, match=rf"^invalid mechanism field {name}: "):
+        config_from_dict(_with_field("mechanism", name, "bogus"))
+
+
+def test_every_int_field_is_checked():
+    from dataclasses import fields
+
+    declared = {
+        (section, f.name)
+        for section, cls in (("config", ScenarioConfig), ("mechanism", MechanismParams),
+                             ("payoffs", PayoffParams), ("worker", WorkerSpec))
+        for f in fields(cls)
+        if f.type == "int"
+    }
+    assert declared == set(INT_FIELDS)

@@ -3,47 +3,72 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repsim import (
+    MechanismParams,
     PayoffParams,
-    ReplyValue,
+    ScenarioConfig,
+    SelectionPolicy,
     WorkerSpec,
     WorkerType,
 )
-from repsim.model import make_stream
-from repsim.worker import WorkerState
+from repsim.master import RunState, accept_by_weighted_majority, collect_replies, run_master_round
+from repsim.model import ReplyValue, make_stream
+from repsim.worker import initial_cheat_prob, update_cheat_prob
 
 PAYOFFS = PayoffParams(punishment_WPc=0.0, task_cost_WCt=0.1, reward_WBy=1.0)
 ALPHA = 0.1
 
 
-def rational(cheat_prob=0.5, availability=1.0, aspiration=0.1):
-    spec = WorkerSpec(0, WorkerType.RATIONAL, availability=availability,
-                      aspiration=aspiration, initial_cheat_prob=cheat_prob)
-    return WorkerState.from_spec(spec)
+def updated(p0, payoff, did_cheat, payoffs=PAYOFFS):
+    """Cheat probability of a rational worker (aspiration 0.1) after one step."""
+    return update_cheat_prob(p0, payoff, did_cheat, 0.1, payoffs.task_cost_WCt, ALPHA)
 
 
-def fixed(worker_type, availability=1.0):
-    return WorkerState.from_spec(WorkerSpec(0, worker_type, availability=availability))
+def pool(*specs):
+    """Run state over the given worker specs, all selected every round."""
+    config = ScenarioConfig(
+        workers=specs,
+        payoffs=PAYOFFS,
+        mechanism=MechanismParams(
+            pool_size_N=len(specs), select_n=len(specs),
+            selection_policy=SelectionPolicy.FIXED_RANDOM,
+        ),
+    )
+    return RunState(config, make_stream(0))
+
+
+def fixed(worker_type, availability=1.0, count=1):
+    return pool(*(WorkerSpec(i, worker_type, availability=availability) for i in range(count)))
+
+
+def rational(cheat_prob=0.5, availability=1.0):
+    return pool(WorkerSpec(0, WorkerType.RATIONAL, availability=availability,
+                           initial_cheat_prob=cheat_prob))
+
+
+def cheats_of(state, rng, rounds):
+    """Per round, whether worker 0 cheated (all workers always available)."""
+    return [collect_replies(state, [0], rng)[1][0] for _ in range(rounds)]
 
 
 class TestAvailability:
     def test_always_available(self):
         rng = make_stream(1)
-        w = fixed(WorkerType.ALTRUISTIC, availability=1.0)
-        assert all(w.draw_availability(rng) for _ in range(1000))
+        state = fixed(WorkerType.ALTRUISTIC, availability=1.0)
+        assert all(collect_replies(state, [0], rng)[0] == (0,) for _ in range(1000))
 
     def test_half_available_mean(self):
         # binomial: 10000 draws at d=0.5, mean within +/-0.02 (~4 sigma)
         rng = make_stream(2)
-        w = fixed(WorkerType.ALTRUISTIC, availability=0.5)
-        mean = np.mean([w.draw_availability(rng) for _ in range(10_000)])
+        state = fixed(WorkerType.ALTRUISTIC, availability=0.5)
+        mean = np.mean([bool(collect_replies(state, [0], rng)[0]) for _ in range(10_000)])
         assert 0.48 <= mean <= 0.52
 
     def test_distinct_workers_draw_independently(self):
         rng = make_stream(3)
-        a = fixed(WorkerType.ALTRUISTIC, availability=0.5)
-        b = fixed(WorkerType.ALTRUISTIC, availability=0.5)
+        state = fixed(WorkerType.ALTRUISTIC, availability=0.5, count=2)
         draws = np.array(
-            [(a.draw_availability(rng), b.draw_availability(rng)) for _ in range(10_000)],
+            [[i in collect_replies(state, [0, 1], rng)[0] for i in (0, 1)]
+             for _ in range(10_000)],
             dtype=float,
         )
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
@@ -52,70 +77,56 @@ class TestAvailability:
 
 class TestProduceReply:
     def test_malicious_always_wrong(self):
-        rng = make_stream(4)
-        w = fixed(WorkerType.MALICIOUS)
-        for _ in range(100):
-            reply = w.produce_reply(rng)
-            assert reply.value is ReplyValue.WRONG and reply.was_cheat
+        assert all(cheats_of(fixed(WorkerType.MALICIOUS), make_stream(4), 100))
 
     def test_altruistic_always_correct(self):
-        rng = make_stream(5)
-        w = fixed(WorkerType.ALTRUISTIC)
-        for _ in range(100):
-            reply = w.produce_reply(rng)
-            assert reply.value is ReplyValue.CORRECT and not reply.was_cheat
+        assert not any(cheats_of(fixed(WorkerType.ALTRUISTIC), make_stream(5), 100))
 
     def test_rational_with_zero_cheat_prob(self):
-        rng = make_stream(6)
-        w = rational(cheat_prob=0.0)
-        for _ in range(100):
-            assert w.produce_reply(rng).value is ReplyValue.CORRECT
+        assert not any(cheats_of(rational(cheat_prob=0.0), make_stream(6), 100))
 
     def test_wrong_iff_cheat(self):
+        # an unaudited round's accepted value is WRONG exactly when its
+        # accepted group is the workers that cheated
         rng = make_stream(7)
-        w = rational(cheat_prob=0.5)
+        state = pool(*(WorkerSpec(i, WorkerType.RATIONAL, initial_cheat_prob=0.5)
+                       for i in range(5)))
+        seen = set()
         for _ in range(200):
-            reply = w.produce_reply(rng)
-            assert (reply.value is ReplyValue.WRONG) == reply.was_cheat
+            responders, cheats = collect_replies(state, range(5), rng)
+            accepted, group = accept_by_weighted_majority(responders, cheats, state.truth, rng)
+            cheated = {i for i, c in zip(responders, cheats) if c}
+            assert (accepted is ReplyValue.WRONG) == (set(group) == cheated)
+            seen.add(accepted)
+        assert seen == {ReplyValue.CORRECT, ReplyValue.WRONG}
 
     def test_initial_cheat_prob_by_type(self):
-        assert fixed(WorkerType.MALICIOUS).cheat_prob == 1.0
-        assert fixed(WorkerType.ALTRUISTIC).cheat_prob == 0.0
-        assert rational(cheat_prob=0.25).cheat_prob == 0.25
+        assert initial_cheat_prob(WorkerSpec(0, WorkerType.MALICIOUS)) == 1.0
+        assert initial_cheat_prob(WorkerSpec(0, WorkerType.ALTRUISTIC)) == 0.0
+        assert rational(cheat_prob=0.25).cheat_prob == [0.25]
 
 
 class TestUpdateCheatProb:
     def test_unaudited_cheater_in_majority(self):
-        w = rational(0.5)
-        w.update_cheat_prob(payoff=1.0, did_cheat=True, payoffs=PAYOFFS, alpha_w=ALPHA)
-        assert w.cheat_prob == pytest.approx(0.59, abs=1e-12)
+        assert updated(0.5, payoff=1.0, did_cheat=True) == pytest.approx(0.59, abs=1e-12)
 
     def test_honest_rewarded(self):
-        w = rational(0.5)
-        w.update_cheat_prob(payoff=1.0, did_cheat=False, payoffs=PAYOFFS, alpha_w=ALPHA)
-        assert w.cheat_prob == pytest.approx(0.42, abs=1e-12)
+        assert updated(0.5, payoff=1.0, did_cheat=False) == pytest.approx(0.42, abs=1e-12)
 
     def test_audited_cheater_no_punishment(self):
-        w = rational(0.5)
-        w.update_cheat_prob(payoff=0.0, did_cheat=True, payoffs=PAYOFFS, alpha_w=ALPHA)
-        assert w.cheat_prob == pytest.approx(0.49, abs=1e-12)
+        assert updated(0.5, payoff=0.0, did_cheat=True) == pytest.approx(0.49, abs=1e-12)
 
     def test_lower_clamp(self):
-        w = rational(0.01)
-        w.update_cheat_prob(payoff=1.0, did_cheat=False, payoffs=PAYOFFS, alpha_w=ALPHA)
-        assert w.cheat_prob == 0.0
+        assert updated(0.01, payoff=1.0, did_cheat=False) == 0.0
 
     def test_honest_rewarded_step_is_008(self):
-        w = rational(0.5)
-        w.update_cheat_prob(1.0, False, PAYOFFS, ALPHA)
-        assert w.cheat_prob == pytest.approx(0.5 - 0.08, abs=1e-12)
+        assert updated(0.5, 1.0, False) == pytest.approx(0.5 - 0.08, abs=1e-12)
 
     def test_punished_cheat_decreases_when_fine_plus_aspiration_positive(self):
         payoffs = PayoffParams(punishment_WPc=0.5, task_cost_WCt=0.1, reward_WBy=1.0)
-        w = rational(0.5)
-        w.update_cheat_prob(payoff=-0.5, did_cheat=True, payoffs=payoffs, alpha_w=ALPHA)
-        assert w.cheat_prob == pytest.approx(0.5 + ALPHA * (-0.5 - 0.1), abs=1e-12)
-        assert w.cheat_prob < 0.5
+        p = updated(0.5, payoff=-0.5, did_cheat=True, payoffs=payoffs)
+        assert p == pytest.approx(0.5 + ALPHA * (-0.5 - 0.1), abs=1e-12)
+        assert p < 0.5
 
 
 @given(
@@ -126,10 +137,10 @@ class TestUpdateCheatProb:
     ),
 )
 def test_cheat_prob_stays_clamped(p0, events):
-    w = rational(p0)
+    p = p0
     for payoff, did_cheat in events:
-        w.update_cheat_prob(payoff, did_cheat, PAYOFFS, ALPHA)
-        assert 0.0 <= w.cheat_prob <= 1.0
+        p = updated(p, payoff, did_cheat)
+        assert 0.0 <= p <= 1.0
 
 
 def test_deterministic_given_seed():
@@ -137,12 +148,12 @@ def test_deterministic_given_seed():
     results = []
     for _ in range(2):
         rng = make_stream(42)
-        w = WorkerState.from_spec(spec)
+        state = pool(*(WorkerSpec(i, WorkerType.ALTRUISTIC) for i in range(3)), spec)
         trail = []
         for _ in range(50):
-            if w.draw_availability(rng):
-                reply = w.produce_reply(rng)
-                w.update_cheat_prob(1.0, reply.was_cheat, PAYOFFS, ALPHA)
-                trail.append((reply.value, w.cheat_prob))
+            outcome = run_master_round(state, rng)
+            if 3 in outcome.responders:
+                trail.append((3 in outcome.cheaters_caught, state.cheat_prob[3]))
         results.append(trail)
     assert results[0] == results[1]
+    assert results[0]
