@@ -200,7 +200,10 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
             names = ", ".join(p.name for p in list_scenarios())
             raise ValueError(f"unknown scenario or config path {target!r}; "
                              f"available scenarios: {names}")
-        config = load_config(target)
+        try:
+            config = load_config(target)
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {target!r}: {exc.strerror}") from None
 
     cfg = config_to_dict(config)
     if args.reputation is not None:
@@ -258,6 +261,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repsim",
@@ -278,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", action="store_true",
                      help="also write a per-round trace file per run")
     run.add_argument("--out", default="results", help="output directory (default: results)")
-    run.add_argument("--parallel", type=int, default=1, metavar="K",
+    run.add_argument("--parallel", type=_at_least_one, default=1, metavar="K",
                      help="run up to K instantiations in parallel processes")
     run.add_argument("--format", choices=["csv", "jsonl"], default="csv",
                      help="output format (default: csv)")

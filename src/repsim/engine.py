@@ -12,6 +12,7 @@ import numpy as np
 
 from .master import RoundOutcome, RunState, run_master_round
 from .model import (
+    BufferedStream,
     ReplyValue,
     ReputationType,
     ScenarioConfig,
@@ -150,6 +151,8 @@ def run_single(
     _require_valid(config)
     rng = make_stream(seed)
     state = RunState(config, rng)
+    stream = BufferedStream(rng)  # after RunState, which may draw with Generator.choice
+    type_names = [spec.worker_type.value for spec in state.specs]
     p_min = config.mechanism.audit_prob_min
     horizon = config.post_convergence_horizon
 
@@ -162,11 +165,11 @@ def run_single(
 
     for r in range(1, config.max_rounds + 1):
         audit_prob_before = state.audit_prob
-        outcome = run_master_round(state, rng)
+        outcome = run_master_round(state, stream)
         if keep_records:
             snapshots = tuple(
-                WorkerSnapshot(i, state.specs[i].worker_type.value, state.cheat_prob[i],
-                               float(state.resp[i]), float(state.truth[i]))
+                WorkerSnapshot(i, type_names[i], state.cheat_prob[i], state.resp[i],
+                               state.truth[i])
                 for i in outcome.selected
             )
             records.append(RoundRecord(r, outcome, snapshots, audit_prob_before))
@@ -243,14 +246,18 @@ def run_batch(
 ) -> BatchResult:
     """Run ``num_instantiations`` independent seeded runs and aggregate.
 
-    Instantiation k runs on seed ``base_seed + k``. Results are gathered and
-    aggregated in seed order, so the outcome does not depend on ``parallel``.
+    Instantiation k runs on seed ``base_seed + k``. At most ``parallel``
+    processes run at once, and never more than there are runs. Results are
+    gathered and aggregated in seed order, so the outcome does not depend on
+    ``parallel``.
     """
     _require_valid(config)
     seeds = [config.seed_for(k) for k in range(config.num_instantiations)]
     tasks = [(config, seed, keep_records) for seed in seeds]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(tasks))
+    if workers > 1:
+        # under fork, the executor starts all max_workers processes at once
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_task, tasks))
     else:
         results = [_batch_task(t) for t in tasks]

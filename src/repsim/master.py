@@ -5,8 +5,7 @@ the rational workers' learning."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,6 +18,11 @@ from .model import (
 )
 from .reputation import responsiveness, truthfulness
 from .worker import initial_cheat_prob, update_cheat_prob
+
+if TYPE_CHECKING:  # touching np.random at run time would import numpy.random (5.5 MB RSS)
+    from .model import BufferedStream
+
+    Stream = np.random.Generator | BufferedStream
 
 __all__ = [
     "RunState",
@@ -34,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
     """Everything observable about one completed round.
 
     ``payoffs`` holds only delivered payoffs: selected workers that did not
@@ -54,14 +57,18 @@ class RoundOutcome:
 
 
 class RunState:
-    """Everything a run changes, one column per field, indexed by worker id.
+    """Everything a run reads or changes, one list per field, indexed by
+    worker id.
 
-    The counter columns are ``selections``, ``replies``, ``audits`` (audited
-    replies), ``honest`` (audited replies found correct) and ``streak``
-    (honest audits since the last catch). ``cheat_prob`` moves only for
-    rational workers. Type, availability, aspiration and learning rate are
-    read from ``specs``. ``resp`` and ``truth`` hold the two reputation
-    factors evaluated on the current counters; selection ranks their product.
+    Read from the specs once: ``availability``, ``rational`` (whether the
+    worker learns), ``aspiration`` and ``learning_rate`` (the worker's
+    override, else the shared rate). The counter columns are
+    ``selections``, ``replies``, ``audits`` (audited replies), ``honest``
+    (audited replies found correct) and ``streak`` (honest audits since the
+    last catch). ``cheat_prob`` moves only for rational workers. ``resp``
+    and ``truth`` hold the two reputation factors evaluated on the current
+    counters, and the numpy array ``rank_key`` holds ``-(resp * truth)``,
+    which selection sorts ascending; whoever changes a factor updates the key.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
@@ -69,47 +76,54 @@ class RunState:
         self.params = params
         self.payoffs = config.payoffs
         self.audit_prob = params.audit_prob_initial
-        self.specs = tuple(sorted(config.workers, key=lambda w: w.worker_id))
-        n_pool = len(self.specs)
+        self.specs = specs = tuple(sorted(config.workers, key=lambda w: w.worker_id))
+        n_pool = len(specs)
+        self.availability = [s.availability for s in specs]
+        self.rational = [s.worker_type is WorkerType.RATIONAL for s in specs]
+        self.aspiration = [s.aspiration for s in specs]
+        self.learning_rate = [
+            params.worker_learning_rate_alpha_w if s.learning_rate is None else s.learning_rate
+            for s in specs
+        ]
         self.selections = [0] * n_pool
         self.replies = [0] * n_pool
         self.audits = [0] * n_pool
         self.honest = [0] * n_pool
         self.streak = [0] * n_pool
-        self.cheat_prob = [initial_cheat_prob(s) for s in self.specs]
-        self.resp = np.full(n_pool, responsiveness(0, 0))
-        self.truth = np.full(
-            n_pool, truthfulness(params.reputation_type, 0, 0, 0, params.exponential_base_epsilon)
-        )
+        self.cheat_prob = [initial_cheat_prob(s) for s in specs]
+        resp = responsiveness(0, 0)
+        truth = truthfulness(params.reputation_type, 0, 0, 0, params.exponential_base_epsilon)
+        self.resp = [resp] * n_pool
+        self.truth = [truth] * n_pool
+        self.rank_key = np.full(n_pool, -(resp * truth))
         self.fixed_selection: tuple[int, ...] | None = None
         if params.selection_policy is SelectionPolicy.FIXED_RANDOM:
             picks = rng.choice(n_pool, size=params.select_n, replace=False)
             self.fixed_selection = tuple(sorted(int(i) for i in picks))
 
 
-def select_top_n(reputations: Sequence[float], n: int, rng: np.random.Generator) -> list[int]:
-    """The ``n`` highest-reputation indices, ties broken uniformly at random.
+def select_top_n(rank_key: Sequence[float], n: int, rng: Stream) -> list[int]:
+    """The ``n`` indices with the lowest rank key (the negated reputation),
+    ties broken uniformly at random.
 
-    Implemented as a sort by (reputation desc, fresh random key asc), so a
+    Implemented as a sort by (rank key asc, fresh random key asc), so a
     fully tied pool yields a uniform random n-subset. Returns ascending ids.
     """
-    rho = np.asarray(reputations, dtype=float)
-    keys = rng.random(len(rho))
-    order = np.lexsort((keys, -rho))
-    return sorted(int(i) for i in order[:n])
+    keys = rng.random(len(rank_key))
+    return sorted(np.lexsort((keys, rank_key))[:n].tolist())
 
 
-def select_workers(state: RunState, rng: np.random.Generator) -> list[int]:
+def select_workers(state: RunState, rng: Stream) -> list[int]:
     """Choose this round's worker set according to the selection policy."""
     if state.fixed_selection is not None:
         return list(state.fixed_selection)
-    return select_top_n(state.resp * state.truth, state.params.select_n, rng)
+    return select_top_n(state.rank_key, state.params.select_n, rng)
 
 
 def collect_replies(
     state: RunState,
     selected: Sequence[int],
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     """Draw the selected workers' replies, in id order on one stream.
 
@@ -122,25 +136,24 @@ def collect_replies(
     and refreshes responsiveness. Returns the responders and, for each,
     whether it cheated.
     """
-    specs, cheat_prob = state.specs, state.cheat_prob
-    selections, replies, resp = state.selections, state.replies, state.resp
+    draw = rng.random
+    availability, rational, cheat_prob = state.availability, state.rational, state.cheat_prob
+    selections, replies = state.selections, state.replies
+    resp, truth, rank_key = state.resp, state.truth, state.rank_key
     responders: list[int] = []
     cheats: list[bool] = []
     for i in selected:
-        spec = specs[i]
         selections[i] += 1
-        if rng.random() < spec.availability:
+        if draw() < availability[i]:
             replies[i] += 1
             responders.append(i)
-            if spec.worker_type is WorkerType.RATIONAL:
-                cheats.append(rng.random() < cheat_prob[i])
-            else:
-                cheats.append(cheat_prob[i] == 1.0)
-        resp[i] = responsiveness(replies[i], selections[i])
+            cheats.append(draw() < cheat_prob[i] if rational[i] else cheat_prob[i] == 1.0)
+        r = resp[i] = responsiveness(replies[i], selections[i])
+        rank_key[i] = -(r * truth[i])
     return tuple(responders), tuple(cheats)
 
 
-def decide_audit(state: RunState, rng: np.random.Generator) -> bool:
+def decide_audit(state: RunState, rng: Stream) -> bool:
     """Bernoulli(audit_prob); consumes exactly one draw."""
     return rng.random() < state.audit_prob
 
@@ -148,8 +161,8 @@ def decide_audit(state: RunState, rng: np.random.Generator) -> bool:
 def accept_by_weighted_majority(
     responders: Sequence[int],
     cheats: Sequence[bool],
-    truth: Mapping[int, float] | np.ndarray,
-    rng: np.random.Generator,
+    truth: Mapping[int, float] | Sequence[float],
+    rng: Stream,
 ) -> tuple[ReplyValue | None, tuple[int, ...]]:
     """Accept the reply value whose senders' summed truthfulness is maximal.
 
@@ -162,19 +175,25 @@ def accept_by_weighted_majority(
     """
     if not responders:
         return None, ()
-    honest = tuple(i for i, c in zip(responders, cheats) if not c)
-    cheaters = tuple(i for i, c in zip(responders, cheats) if c)
+    honest: list[int] = []
+    cheaters: list[int] = []
+    w_honest = w_cheat = 0.0
+    for i, cheated in zip(responders, cheats):
+        if cheated:
+            cheaters.append(i)
+            w_cheat += truth[i]
+        else:
+            honest.append(i)
+            w_honest += truth[i]
     if not cheaters:
-        return ReplyValue.CORRECT, honest
+        return ReplyValue.CORRECT, tuple(honest)
     if not honest:
-        return ReplyValue.WRONG, cheaters
-    w_honest = sum(truth[i] for i in honest)
-    w_cheat = sum(truth[i] for i in cheaters)
+        return ReplyValue.WRONG, tuple(cheaters)
     if w_honest == w_cheat:
         wrong = bool(rng.integers(2))
     else:
         wrong = w_cheat > w_honest
-    return (ReplyValue.WRONG, cheaters) if wrong else (ReplyValue.CORRECT, honest)
+    return (ReplyValue.WRONG, tuple(cheaters)) if wrong else (ReplyValue.CORRECT, tuple(honest))
 
 
 def assign_payoffs(
@@ -190,13 +209,11 @@ def assign_payoffs(
     the accepted group is rewarded, other responders get zero. Selected
     non-responders are absent (nothing is delivered to them).
     """
+    reward = payoffs.reward_WBy
     if audited:
-        return {
-            i: -payoffs.punishment_WPc if cheated else payoffs.reward_WBy
-            for i, cheated in zip(responders, cheats)
-        }
-    rewarded_set = set(rewarded)
-    return {i: payoffs.reward_WBy if i in rewarded_set else 0.0 for i in responders}
+        fine = -payoffs.punishment_WPc
+        return {i: fine if cheated else reward for i, cheated in zip(responders, cheats)}
+    return {i: reward if i in rewarded else 0.0 for i in responders}
 
 
 def update_audit_prob(
@@ -216,9 +233,9 @@ def update_audit_prob(
     Must be called with the truthfulness values the master held when it
     assigned the task, i.e. before this round's audit outcomes are counted.
     """
-    params = state.params
-    s_r = sum(float(state.truth[i]) for i in responders)
-    s_f = sum(float(state.truth[i]) for i in caught)
+    params, truth = state.params, state.truth
+    s_r = sum(truth[i] for i in responders)
+    s_f = sum(truth[i] for i in caught)
     if s_r == 0.0:
         return min(1.0, state.audit_prob + params.master_learning_rate_alpha_m)
     shifted = state.audit_prob + params.master_learning_rate_alpha_m * (
@@ -227,7 +244,7 @@ def update_audit_prob(
     return min(1.0, max(params.audit_prob_min, shifted))
 
 
-def run_master_round(state: RunState, rng: np.random.Generator) -> RoundOutcome:
+def run_master_round(state: RunState, rng: Stream) -> RoundOutcome:
     """Play one full round, updating the state's columns in place.
 
     Phases, in order: select the round's workers; collect their replies
@@ -248,7 +265,8 @@ def run_master_round(state: RunState, rng: np.random.Generator) -> RoundOutcome:
         caught = tuple(i for i, c in zip(responders, cheats) if c)
         new_audit_prob = update_audit_prob(state, responders, caught)
         rep_type, epsilon = params.reputation_type, params.exponential_base_epsilon
-        audits, honest, streak, truth = state.audits, state.honest, state.streak, state.truth
+        audits, honest, streak = state.audits, state.honest, state.streak
+        resp, truth, rank_key = state.resp, state.truth, state.rank_key
         for i, cheated in zip(responders, cheats):
             audits[i] += 1
             if cheated:
@@ -256,7 +274,8 @@ def run_master_round(state: RunState, rng: np.random.Generator) -> RoundOutcome:
             else:
                 honest[i] += 1
                 streak[i] += 1
-            truth[i] = truthfulness(rep_type, audits[i], honest[i], streak[i], epsilon)
+            t = truth[i] = truthfulness(rep_type, audits[i], honest[i], streak[i], epsilon)
+            rank_key[i] = -(resp[i] * t)
         state.audit_prob = new_audit_prob
         accepted: ReplyValue | None = ReplyValue.CORRECT
         rewarded = tuple(i for i, c in zip(responders, cheats) if not c)
@@ -264,16 +283,13 @@ def run_master_round(state: RunState, rng: np.random.Generator) -> RoundOutcome:
         accepted, rewarded = accept_by_weighted_majority(responders, cheats, state.truth, rng)
 
     payoff_map = assign_payoffs(audited, responders, cheats, rewarded, state.payoffs)
-    specs, cheat_prob = state.specs, state.cheat_prob
+    rational, cheat_prob = state.rational, state.cheat_prob
+    aspiration, learning_rate = state.aspiration, state.learning_rate
+    task_cost = state.payoffs.task_cost_WCt
     for i, cheated in zip(responders, cheats):
-        spec = specs[i]
-        if spec.worker_type is WorkerType.RATIONAL:
-            alpha = spec.learning_rate
-            if alpha is None:
-                alpha = params.worker_learning_rate_alpha_w
+        if rational[i]:
             cheat_prob[i] = update_cheat_prob(
-                cheat_prob[i], payoff_map[i], cheated, spec.aspiration,
-                state.payoffs.task_cost_WCt, alpha,
+                cheat_prob[i], payoff_map[i], cheated, aspiration[i], task_cost, learning_rate[i]
             )
 
     return RoundOutcome(

@@ -31,6 +31,7 @@ __all__ = [
     "Diagnostic",
     "validate_config",
     "make_stream",
+    "BufferedStream",
     "config_to_dict",
     "config_from_dict",
     "load_config",
@@ -230,6 +231,70 @@ def config_errors(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
 def make_stream(seed: int) -> np.random.Generator:
     """Seeded random stream: same seed, same draw sequence, bit for bit."""
     return np.random.Generator(np.random.PCG64(seed % (1 << 64)))
+
+
+class BufferedStream:
+    """A PCG64 ``Generator`` read ahead in blocks of raw 64-bit outputs.
+
+    Serves ``random()``, ``random(k)`` and ``integers(2)`` with exactly the
+    values the wrapped Generator would return for the same sequence of
+    calls, at a fraction of the per-call cost: a double is
+    ``(u64 >> 11) * 2**-53``, and ``integers(2)`` is the top bit of the next
+    32-bit half, where a 64-bit output yields its low half first and keeps
+    the high half pending (across other calls and refills), as PCG64 does.
+    The pending half the Generator already holds is taken over. Once
+    wrapped, the Generator must not be drawn from directly. ``random(k)``
+    returns a read-only array.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int = 1024):
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(f"BufferedStream needs PCG64, got {type(bit_generator).__name__}")
+        state = bit_generator.state
+        self._random_raw = bit_generator.random_raw
+        self._block = block
+        self._half: int | None = state["uinteger"] if state["has_uint32"] else None
+        self._refill()
+
+    def _refill(self) -> None:
+        self._raw = self._random_raw(self._block)
+        self._array = (self._raw >> 11) * 2.0**-53
+        self._array.flags.writeable = False
+        self._doubles = self._array.tolist()
+        self._pos = 0
+
+    def random(self, size: int | None = None) -> float | np.ndarray:
+        pos = self._pos
+        if size is None:
+            if pos == self._block:
+                self._refill()
+                pos = 0
+            self._pos = pos + 1
+            return self._doubles[pos]
+        end = pos + size
+        if end <= self._block:
+            self._pos = end
+            return self._array[pos:end]
+        head = self._array[pos:]
+        self._refill()
+        out = np.concatenate((head, self.random(size - len(head))))
+        out.flags.writeable = False
+        return out
+
+    def integers(self, high: int) -> int:
+        if high != 2:
+            raise ValueError("BufferedStream serves integers(2) only")
+        half = self._half
+        if half is None:
+            if self._pos == self._block:
+                self._refill()
+            raw = int(self._raw[self._pos])
+            self._pos += 1
+            half, self._half = raw & 0xFFFFFFFF, raw >> 32
+        else:
+            self._half = None
+        return half >> 31
 
 
 # --- serialization ----------------------------------------------------------

@@ -95,9 +95,9 @@ def test_c1_formula_unit_suite():
 
         # combined reputation: selection ranks responsiveness x truthfulness
         fresh = state(WorkerType.ALTRUISTIC)
-        assert all(fresh.resp * fresh.truth == 1.0)
+        assert all(r * t == 1.0 for r, t in zip(fresh.resp, fresh.truth))
         fresh = state(WorkerType.ALTRUISTIC, reputation=B)
-        assert all(fresh.resp * fresh.truth == 0.0)
+        assert all(r * t == 0.0 for r, t in zip(fresh.resp, fresh.truth))
         assert abs(responsiveness(2, 4) * truthfulness(L, 4, 3, 0) - 0.48) < EXACT
 
         # counter operations, through one round of a single selected worker

@@ -1,7 +1,13 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repsim import (
     ReputationType,
@@ -12,6 +18,7 @@ from repsim import (
     save_config,
     validate_config,
 )
+from repsim import cli, engine
 from repsim.cli import (
     METRICS_COLUMNS,
     main,
@@ -83,6 +90,29 @@ class TestListCommand:
         assert "S6" in out and "p99-r1m8" in out
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in for the process pool: record each pool's ``max_workers`` and
+    map in this process, so no worker process is ever started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestRunCommand:
     def run_s1(self, tmp_path, *extra):
         args = ["run", "S1", "--horizon", "30", "--out", str(tmp_path), *extra]
@@ -140,6 +170,10 @@ class TestRunCommand:
         path = tmp_path / "bad.json"
         path.write_text('{"mechanism": {"pool_size_N": 9}}')
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_unreadable_config_path_exits_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, value, message", [
         ("workers", 5, "workers must be a JSON array"),
@@ -215,6 +249,20 @@ class TestRunCommand:
         assert self.run_s1(out_b, "--runs", "4", "--parallel", "2") == 0
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
 
+    def test_parallel_pool_never_exceeds_run_count(self, tmp_path, pool_sizes):
+        assert self.run_s1(tmp_path / "a", "--runs", "3", "--parallel", "500") == 0
+        assert self.run_s1(tmp_path / "b", "--runs", "5", "--parallel", "2") == 0
+        assert self.run_s1(tmp_path / "c", "--runs", "1", "--parallel", "4") == 0  # in-process
+        assert pool_sizes == [3, 2]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_parallel_below_one_exits_2(self, tmp_path, capsys, pool_sizes, value):
+        with pytest.raises(SystemExit) as exc:
+            self.run_s1(tmp_path, "--parallel", value)
+        assert exc.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+        assert pool_sizes == []
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -226,3 +274,90 @@ class TestRunCommand:
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         for trace in sorted(out_a.glob("trace_*.csv")):
             assert trace.read_bytes() == (out_b / trace.name).read_bytes()
+
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+BASE_CONFIG = config_to_dict(build_scenario("S3", num_instantiations=2))
+
+
+@st.composite
+def config_dicts(draw):
+    """The S3 config dict with up to four fields (of the config, a section
+    or a worker) dropped, added or set to arbitrary JSON."""
+    cfg = copy.deepcopy(BASE_CONFIG)
+    for _ in range(draw(st.integers(1, 4))):
+        node = cfg
+        section = draw(st.sampled_from(["", "mechanism", "payoffs", "workers"]))
+        if section:
+            node = cfg.get(section)
+        if isinstance(node, list) and node:
+            node = draw(st.sampled_from(node))
+        if not isinstance(node, dict):
+            continue
+        key = draw(st.sampled_from(sorted(node) + ["bogus"]))
+        if draw(st.booleans()):
+            node.pop(key, None)
+        else:
+            node[key] = draw(JSON_VALUES)
+    return cfg
+
+
+SET_PATHS = st.sampled_from([
+    "max_rounds", "base_seed", "mechanism", "mechanism.select_n", "mechanism.tolerance_tau",
+    "mechanism.reputation_type", "mechanism.selection_policy", "payoffs.reward_WBy",
+    "workers", "workers.0", "bogus", "mechanism.bogus", "", ".",
+])
+ASSIGNMENTS = st.builds("{}={}".format, SET_PATHS, JSON_VALUES.map(json.dumps) | st.text(max_size=12))
+
+
+class Reached(Exception):
+    """Raised in place of a simulation by the stubbed ``run_batch``."""
+
+
+def parse_only(argv):
+    """``main(argv)`` with ``run_batch`` stubbed out: the config a run would
+    use, or the exit code; plus what was written to stderr."""
+    def reached(config, **_):
+        raise Reached(config)
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(cli, "run_batch", reached)
+        try:
+            return main(argv), err.getvalue()
+        except Reached as exc:
+            return exc.args[0], err.getvalue()
+
+
+class TestParsingFuzz:
+    """Every config file and ``--set`` override ends in a valid config or
+    in a diagnostic with exit code 2; no simulation is run."""
+
+    def check(self, result, err):
+        if isinstance(result, int):
+            assert result == 2
+            assert "error" in err
+        else:
+            assert not [d for d in validate_config(result) if d.severity == "error"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(config_dicts())
+    def test_config_files(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.json"
+            path.write_text(json.dumps(cfg))
+            self.check(*parse_only(["run", str(path), "--out", tmp]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(ASSIGNMENTS | st.text(max_size=16), min_size=1, max_size=3))
+    def test_set_overrides(self, assignments):
+        argv = ["run", "S3", "--runs", "2", "--out", "unused"]
+        argv += [f"--set={a}" for a in assignments]
+        self.check(*parse_only(argv))

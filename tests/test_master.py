@@ -72,7 +72,7 @@ class TestSelection:
     def test_strict_argmax(self):
         rng = make_stream(12)
         for _ in range(50):
-            assert select_top_n([1.0, 1.0, 0.2, 0.1, 0.0], 2, rng) == [0, 1]
+            assert select_top_n([-1.0, -1.0, -0.2, -0.1, -0.0], 2, rng) == [0, 1]
 
     def test_fixed_random_returns_same_set_every_round(self):
         master = make_state(policy=SelectionPolicy.FIXED_RANDOM, seed=13)

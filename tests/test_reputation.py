@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -50,7 +49,7 @@ def counters(state):
 def play_round(state, replied=True, audited=True):
     """One round of ``run_master_round`` with its draws forced: the worker
     replies iff ``replied`` and the master audits iff ``audited``."""
-    state.specs = (replace(state.specs[0], availability=1.0 if replied else 0.0),)
+    state.availability[0] = 1.0 if replied else 0.0
     state.audit_prob = 1.0 if audited else 0.0
     return run_master_round(state, make_stream(1))
 
@@ -63,14 +62,12 @@ rounds = st.lists(
 
 
 def replay(history, rep_type=L, epsilon=0.5):
-    """Feed a history to one worker through the round engine: an honest
-    audit is played by an altruistic worker, a caught cheat by a malicious
-    one, and an audit outcome is only counted for a reply."""
+    """Feed a history to one worker through the round engine: the worker's
+    pinned cheat probability is 0 for an honest audit and 1 for a caught
+    cheat, and an audit outcome is only counted for a reply."""
     state = one_worker(rep_type=rep_type, epsilon=epsilon)
     for replied, audit in history:
-        caught = audit is False
-        state.specs = (replace(state.specs[0], worker_type=M if caught else A),)
-        state.cheat_prob[0] = 1.0 if caught else 0.0
+        state.cheat_prob[0] = 1.0 if audit is False else 0.0
         play_round(state, replied=replied, audited=audit is not None)
     return state
 
@@ -165,9 +162,11 @@ def test_counter_inequalities_preserved(history):
     assert audits <= replies
     assert honest <= audits
     assert streak <= honest
-    # the cached factors equal the reputation functions of the counters
+    # the cached factors equal the reputation functions of the counters,
+    # and the ranking key is their negated product
     assert state.resp[0] == responsiveness(replies, selections)
     assert state.truth[0] == truth(L, audits, honest, streak)
+    assert state.rank_key[0] == -(state.resp[0] * state.truth[0])
 
 
 @given(rounds)
