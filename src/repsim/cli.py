@@ -14,11 +14,13 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .engine import (
+    FORMATS,
     METRICS,
     BatchResult,
     RoundRecord,
     RunMetrics,
-    WorkerSnapshot,
+    TraceTarget,
+    TraceWriter,
     converged_columns,
     run_batch,
 )
@@ -43,37 +45,10 @@ __all__ = [
 ]
 
 METRICS_COLUMNS = ("seed", *(name for name, _ in METRICS), "violated", "not_converged")
-TRACE_COLUMNS = ("round_index", "audit_prob", "audited", "accepted_value", "num_replies")
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_NOT_CONVERGED = 3
-
-
-def _write_rows(path: Path, fmt: str, columns: Sequence[str], rows: Iterable[dict]) -> None:
-    """Write dict rows as JSON lines, or as LF-terminated CSV under
-    ``columns``. In CSV, booleans read true/false, None is an empty cell,
-    floats keep full precision, and a list of dicts (a trace row's workers)
-    is flattened into consecutive cells."""
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {fmt!r}")
-    with path.open("w", newline="") as fh:
-        if fmt == "jsonl":
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
-            return
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            cells: list[Any] = []
-            for value in row.values():
-                if isinstance(value, list):
-                    cells += [v for item in value for v in item.values()]
-                elif isinstance(value, bool):
-                    cells.append("true" if value else "false")
-                else:
-                    cells.append(value)
-            writer.writerow(cells)
 
 
 def _metrics_row(m: RunMetrics) -> dict[str, Any]:
@@ -88,8 +63,22 @@ def _metrics_row(m: RunMetrics) -> dict[str, Any]:
 
 
 def write_metrics(runs: Iterable[RunMetrics], path: Path, fmt: str = "csv") -> None:
-    """One row per instantiation; full precision, '.' decimals, LF-terminated."""
-    _write_rows(path, fmt, METRICS_COLUMNS, (_metrics_row(m) for m in runs))
+    """One row per instantiation; full precision, '.' decimals, LF-terminated.
+    In CSV, booleans read true/false and None is an empty cell."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    rows = (_metrics_row(m) for m in runs)
+    with path.open("w", newline="") as fh:
+        if fmt == "jsonl":
+            for row in rows:
+                fh.write(json.dumps(row) + "\n")
+            return
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(METRICS_COLUMNS)
+        for row in rows:
+            writer.writerow(
+                ("true" if v else "false") if isinstance(v, bool) else v for v in row.values()
+            )
 
 
 def read_metrics_csv(path: Path) -> list[RunMetrics]:
@@ -105,29 +94,16 @@ def read_metrics_csv(path: Path) -> list[RunMetrics]:
         ]
 
 
-def _trace_row(rec: RoundRecord) -> dict[str, Any]:
-    accepted = rec.outcome.accepted_value
-    values = (
-        rec.round_index,
-        rec.audit_prob_before,
-        rec.outcome.audited,
-        "NONE" if accepted is None else accepted.value,
-        len(rec.outcome.responders),
-    )
-    return {**dict(zip(TRACE_COLUMNS, values)), "workers": [s._asdict() for s in rec.snapshots]}
-
-
 def write_trace(records: Sequence[RoundRecord], path: Path, fmt: str = "csv") -> None:
-    """Per-round trail of one run: one row per round.
+    """Per-round trail of one run: one row per round, in the format
+    ``repsim run --trace`` streams (``engine.trace_row``).
 
     ``audit_prob`` is the probability the round was played with (before any
     update). Worker columns repeat per selected slot in worker-id order.
     """
-    slots = len(records[0].snapshots) if records else 0
-    columns = list(TRACE_COLUMNS)
-    for k in range(slots):
-        columns += [f"w{k}_{field}" for field in WorkerSnapshot._fields]
-    _write_rows(path, fmt, columns, (_trace_row(rec) for rec in records))
+    with TraceWriter(path, fmt) as writer:
+        for rec in records:
+            writer.write(rec.round_index, rec.audit_prob_before, rec.outcome, rec.snapshots)
 
 
 def emit_results(batch: BatchResult, out_dir: Path, fmt: str = "csv") -> Path:
@@ -138,8 +114,9 @@ def emit_results(batch: BatchResult, out_dir: Path, fmt: str = "csv") -> Path:
     metrics_path = out_dir / f"metrics.{fmt}"
     write_metrics(batch.runs, metrics_path, fmt=fmt)
     if batch.records is not None:
+        target = TraceTarget(out_dir, fmt)
         for seed, records in zip(batch.seeds, batch.records):
-            write_trace(records, out_dir / f"trace_seed{seed}.{fmt}", fmt=fmt)
+            write_trace(records, target.path(seed), fmt=fmt)
     return metrics_path
 
 
@@ -246,9 +223,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if config_errors(diags):
         return EXIT_BAD_INPUT
 
-    batch = run_batch(config, parallel=args.parallel, keep_records=args.trace)
+    out_dir = Path(args.out)
+    trace = TraceTarget(out_dir, args.format) if args.trace else None
     try:
-        metrics_path = emit_results(batch, Path(args.out), fmt=args.format)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        batch = run_batch(config, parallel=args.parallel, trace=trace)
+        metrics_path = emit_results(batch, out_dir, fmt=args.format)
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

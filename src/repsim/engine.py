@@ -6,7 +6,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .model import (
 __all__ = [
     "WorkerSnapshot",
     "RoundRecord",
+    "TraceTarget",
+    "TraceWriter",
     "RunMetrics",
     "MetricSummary",
     "AggregateStats",
@@ -45,6 +48,10 @@ METRICS = (
     ("incorrect_after", "incorrect_after_convergence"),
     ("empty_after", "empty_rounds_after_convergence"),
 )
+
+# a trace row's columns, before one set of WorkerSnapshot columns per selected worker
+TRACE_COLUMNS = ("round_index", "audit_prob", "audited", "accepted_value", "num_replies")
+FORMATS = ("csv", "jsonl")  # of metrics and trace files
 
 
 class WorkerSnapshot(NamedTuple):
@@ -68,6 +75,113 @@ class RoundRecord:
     @property
     def audit_prob_after(self) -> float:
         return self.outcome.audit_prob_after
+
+
+# Observer of a run, called after each round with the round index, the audit
+# probability the round was played with, the outcome and the run state.
+RoundObserver = Callable[[int, float, RoundOutcome, RunState], None]
+
+
+def trace_header(slots: int) -> str:
+    """The CSV header line of a trace whose rows carry ``slots`` workers."""
+    columns = list(TRACE_COLUMNS)
+    for k in range(slots):
+        columns += [f"w{k}_{field}" for field in WorkerSnapshot._fields]
+    return ",".join(columns) + "\n"
+
+
+def trace_row(
+    fmt: str,
+    round_index: int,
+    audit_prob: float,
+    outcome: RoundOutcome,
+    workers: Iterable[tuple[int, str, float, float, float]],
+) -> str:
+    """One trace line: the round's columns, then one ``WorkerSnapshot``-shaped
+    tuple per selected worker.
+
+    The bytes are those of ``json.dumps`` on the row as a dict (workers as a
+    list of dicts), or of a ``csv.writer`` with LF line ends on the flattened
+    row: numbers by ``repr``, booleans as true/false, no accepted value as
+    NONE. The numbers are finite, and type names need no quoting.
+    """
+    accepted = outcome.accepted_value
+    value = "NONE" if accepted is None else accepted.value
+    audited = "true" if outcome.audited else "false"
+    replies = len(outcome.responders)
+    if fmt == "csv":
+        return (
+            f"{round_index},{audit_prob!r},{audited},{value},{replies}"
+            + "".join(f",{i},{t},{p!r},{rs!r},{tr!r}" for i, t, p, rs, tr in workers)
+            + "\n"
+        )
+    return (
+        f'{{"round_index": {round_index}, "audit_prob": {audit_prob!r}, "audited": {audited}, '
+        f'"accepted_value": "{value}", "num_replies": {replies}, "workers": ['
+        + ", ".join(
+            f'{{"id": {i}, "type": "{t}", "cheat_prob": {p!r}, "rho_rs": {rs!r}, "rho_tr": {tr!r}}}'
+            for i, t, p, rs, tr in workers
+        )
+        + "]}\n"
+    )
+
+
+class TraceWriter:
+    """One run's trace file, written a row at a time.
+
+    ``write`` takes a round's values, ``__call__`` makes the writer a
+    ``RoundObserver`` that reads the selected workers from the run state's
+    columns. A CSV file's header names as many worker slots as the first row
+    carries; a trace without rows is a bare header (CSV) or empty (JSON lines).
+    """
+
+    def __init__(self, path: Path, fmt: str = "csv"):
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}")
+        self.fmt = fmt
+        self._fh = open(path, "w", newline="")
+        self._header_due = fmt == "csv"
+
+    def write(
+        self,
+        round_index: int,
+        audit_prob: float,
+        outcome: RoundOutcome,
+        workers: Sequence[tuple[int, str, float, float, float]],
+    ) -> None:
+        if self._header_due:
+            self._fh.write(trace_header(len(workers)))
+            self._header_due = False
+        self._fh.write(trace_row(self.fmt, round_index, audit_prob, outcome, workers))
+
+    def __call__(
+        self, round_index: int, audit_prob: float, outcome: RoundOutcome, state: RunState
+    ) -> None:
+        names, cheat_prob, resp, truth = state.type_names, state.cheat_prob, state.resp, state.truth
+        self.write(round_index, audit_prob, outcome, [
+            (i, names[i], cheat_prob[i], resp[i], truth[i]) for i in outcome.selected
+        ])
+
+    def close(self) -> None:
+        if self._header_due:
+            self._fh.write(trace_header(0))
+        self._fh.close()
+
+    def __enter__(self) -> TraceWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class TraceTarget(NamedTuple):
+    """Where a batch streams its traces: ``directory/trace_seed<seed>.<fmt>``."""
+
+    directory: Path
+    fmt: str = "csv"
+
+    def path(self, seed: int) -> Path:
+        return Path(self.directory) / f"trace_seed{seed}.{self.fmt}"
 
 
 @dataclass(frozen=True)
@@ -141,18 +255,30 @@ def run_single(
     config: ScenarioConfig,
     seed: int,
     keep_records: bool = True,
+    observer: RoundObserver | None = None,
 ) -> tuple[list[RoundRecord], RunMetrics]:
     """Run one seeded instantiation to convergence plus the configured
     horizon (or to max_rounds), returning the round trail and its metrics.
 
     With ``keep_records=False`` the trail is skipped and an empty list is
-    returned; the metrics are identical either way.
+    returned; the metrics are identical either way. ``observer``, if given,
+    sees every round as it is played (see ``RoundObserver``).
     """
     _require_valid(config)
+    return _play(config, seed, keep_records, observer)
+
+
+def _play(
+    config: ScenarioConfig,
+    seed: int,
+    keep_records: bool,
+    observer: RoundObserver | None,
+) -> tuple[list[RoundRecord], RunMetrics]:
+    """``run_single`` on a config already known to be valid."""
     rng = make_stream(seed)
     state = RunState(config, rng)
     stream = BufferedStream(rng)  # after RunState, which may draw with Generator.choice
-    type_names = [spec.worker_type.value for spec in state.specs]
+    type_names = state.type_names
     p_min = config.mechanism.audit_prob_min
     horizon = config.post_convergence_horizon
 
@@ -166,6 +292,8 @@ def run_single(
     for r in range(1, config.max_rounds + 1):
         audit_prob_before = state.audit_prob
         outcome = run_master_round(state, stream)
+        if observer is not None:
+            observer(r, audit_prob_before, outcome, state)
         if keep_records:
             snapshots = tuple(
                 WorkerSnapshot(i, type_names[i], state.cheat_prob[i], state.resp[i],
@@ -201,9 +329,15 @@ def run_single(
     return records, metrics
 
 
-def _batch_task(args: tuple[ScenarioConfig, int, bool]):
-    config, seed, keep_records = args
-    records, metrics = run_single(config, seed, keep_records=keep_records)
+def _batch_task(args: tuple[ScenarioConfig, int, bool, TraceTarget | None]):
+    """One run of a batch, in-process or in a pool worker; a traced run
+    streams its rows to its own file as it plays."""
+    config, seed, keep_records, trace = args
+    if trace is None:
+        records, metrics = _play(config, seed, keep_records, None)
+    else:
+        with TraceWriter(trace.path(seed), trace.fmt) as writer:
+            records, metrics = _play(config, seed, keep_records, writer)
     return tuple(records), metrics
 
 
@@ -243,17 +377,23 @@ def run_batch(
     config: ScenarioConfig,
     parallel: int = 1,
     keep_records: bool = False,
+    trace: TraceTarget | None = None,
 ) -> BatchResult:
     """Run ``num_instantiations`` independent seeded runs and aggregate.
 
     Instantiation k runs on seed ``base_seed + k``. At most ``parallel``
     processes run at once, and never more than there are runs. Results are
     gathered and aggregated in seed order, so the outcome does not depend on
-    ``parallel``.
+    ``parallel``. With ``trace``, each run writes its trace file as its
+    rounds are played (a pool worker writes its own runs' files), so memory
+    does not grow with the number of rounds; the directory is created if
+    missing.
     """
     _require_valid(config)
+    if trace is not None:
+        Path(trace.directory).mkdir(parents=True, exist_ok=True)
     seeds = [config.seed_for(k) for k in range(config.num_instantiations)]
-    tasks = [(config, seed, keep_records) for seed in seeds]
+    tasks = [(config, seed, keep_records, trace) for seed in seeds]
     workers = min(parallel, len(tasks))
     if workers > 1:
         # under fork, the executor starts all max_workers processes at once

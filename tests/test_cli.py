@@ -18,7 +18,7 @@ from repsim import (
     save_config,
     validate_config,
 )
-from repsim import cli, engine
+from repsim import cli
 from repsim.cli import (
     METRICS_COLUMNS,
     main,
@@ -88,29 +88,6 @@ class TestListCommand:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "S6" in out and "p99-r1m8" in out
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Stand in for the process pool: record each pool's ``max_workers`` and
-    map in this process, so no worker process is ever started."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
-    return sizes
 
 
 class TestRunCommand:
@@ -262,6 +239,20 @@ class TestRunCommand:
         assert exc.value.code == 2
         assert "--parallel" in capsys.readouterr().err
         assert pool_sizes == []
+
+    @pytest.mark.parametrize("extra", [(), ("--trace",), ("--trace", "--parallel", "2")])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, extra):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert self.run_s1(out, "--runs", "2", *extra) == 2
+        assert "error: cannot write results" in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
+    def test_unopenable_trace_in_pool_worker_exits_2(self, tmp_path, capsys):
+        (tmp_path / f"trace_seed{build_scenario('S1').seed_for(1)}.csv").mkdir()
+        assert self.run_s1(tmp_path, "--runs", "2", "--trace", "--parallel", "2") == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write results" in err and "trace_seed" in err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
