@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="results", help="output directory (default: results)")
     run.add_argument("--parallel", type=_at_least_one, default=1, metavar="K",
                      help="run up to K instantiations in parallel processes")
-    run.add_argument("--format", choices=["csv", "jsonl"], default="csv",
+    run.add_argument("--format", choices=FORMATS, default="csv",
                      help="output format (default: csv)")
     run.add_argument("--set", action="append", metavar="PATH=VALUE",
                      help="dotted-path config override, e.g. mechanism.tolerance_tau=0.4")

@@ -78,8 +78,9 @@ class RoundRecord:
 
 
 # Observer of a run, called after each round with the round index, the audit
-# probability the round was played with, the outcome and the run state.
-RoundObserver = Callable[[int, float, RoundOutcome, RunState], None]
+# probability the round was played with, the outcome and the selected workers'
+# snapshots; ``TraceWriter.write`` is one.
+RoundObserver = Callable[[int, float, RoundOutcome, Sequence[WorkerSnapshot]], None]
 
 
 def trace_header(slots: int) -> str:
@@ -95,10 +96,10 @@ def trace_row(
     round_index: int,
     audit_prob: float,
     outcome: RoundOutcome,
-    workers: Iterable[tuple[int, str, float, float, float]],
+    workers: Iterable[WorkerSnapshot],
 ) -> str:
-    """One trace line: the round's columns, then one ``WorkerSnapshot``-shaped
-    tuple per selected worker.
+    """One trace line: the round's columns, then each selected worker's
+    ``WorkerSnapshot`` columns.
 
     The bytes are those of ``json.dumps`` on the row as a dict (workers as a
     list of dicts), or of a ``csv.writer`` with LF line ends on the flattened
@@ -127,12 +128,10 @@ def trace_row(
 
 
 class TraceWriter:
-    """One run's trace file, written a row at a time.
-
-    ``write`` takes a round's values, ``__call__`` makes the writer a
-    ``RoundObserver`` that reads the selected workers from the run state's
-    columns. A CSV file's header names as many worker slots as the first row
-    carries; a trace without rows is a bare header (CSV) or empty (JSON lines).
+    """One run's trace file, written a row at a time by ``write``, a
+    ``RoundObserver``. A CSV file's header names as many worker slots as the
+    first row carries; a trace without rows is a bare header (CSV) or empty
+    (JSON lines).
     """
 
     def __init__(self, path: Path, fmt: str = "csv"):
@@ -147,20 +146,12 @@ class TraceWriter:
         round_index: int,
         audit_prob: float,
         outcome: RoundOutcome,
-        workers: Sequence[tuple[int, str, float, float, float]],
+        workers: Sequence[WorkerSnapshot],
     ) -> None:
         if self._header_due:
             self._fh.write(trace_header(len(workers)))
             self._header_due = False
         self._fh.write(trace_row(self.fmt, round_index, audit_prob, outcome, workers))
-
-    def __call__(
-        self, round_index: int, audit_prob: float, outcome: RoundOutcome, state: RunState
-    ) -> None:
-        names, cheat_prob, resp, truth = state.type_names, state.cheat_prob, state.resp, state.truth
-        self.write(round_index, audit_prob, outcome, [
-            (i, names[i], cheat_prob[i], resp[i], truth[i]) for i in outcome.selected
-        ])
 
     def close(self) -> None:
         if self._header_due:
@@ -265,20 +256,10 @@ def run_single(
     sees every round as it is played (see ``RoundObserver``).
     """
     _require_valid(config)
-    return _play(config, seed, keep_records, observer)
-
-
-def _play(
-    config: ScenarioConfig,
-    seed: int,
-    keep_records: bool,
-    observer: RoundObserver | None,
-) -> tuple[list[RoundRecord], RunMetrics]:
-    """``run_single`` on a config already known to be valid."""
     rng = make_stream(seed)
     state = RunState(config, rng)
     stream = BufferedStream(rng)  # after RunState, which may draw with Generator.choice
-    type_names = state.type_names
+    type_names = [spec.worker_type.value for spec in state.specs]
     p_min = config.mechanism.audit_prob_min
     horizon = config.post_convergence_horizon
 
@@ -292,15 +273,16 @@ def _play(
     for r in range(1, config.max_rounds + 1):
         audit_prob_before = state.audit_prob
         outcome = run_master_round(state, stream)
-        if observer is not None:
-            observer(r, audit_prob_before, outcome, state)
-        if keep_records:
+        if keep_records or observer is not None:
             snapshots = tuple(
                 WorkerSnapshot(i, type_names[i], state.cheat_prob[i], state.resp[i],
                                state.truth[i])
                 for i in outcome.selected
             )
-            records.append(RoundRecord(r, outcome, snapshots, audit_prob_before))
+            if observer is not None:
+                observer(r, audit_prob_before, outcome, snapshots)
+            if keep_records:
+                records.append(RoundRecord(r, outcome, snapshots, audit_prob_before))
 
         accepted = outcome.accepted_value
         if convergence_round is None:
@@ -334,10 +316,10 @@ def _batch_task(args: tuple[ScenarioConfig, int, bool, TraceTarget | None]):
     streams its rows to its own file as it plays."""
     config, seed, keep_records, trace = args
     if trace is None:
-        records, metrics = _play(config, seed, keep_records, None)
+        records, metrics = run_single(config, seed, keep_records)
     else:
         with TraceWriter(trace.path(seed), trace.fmt) as writer:
-            records, metrics = _play(config, seed, keep_records, writer)
+            records, metrics = run_single(config, seed, keep_records, writer.write)
     return tuple(records), metrics
 
 

@@ -61,8 +61,8 @@ class RunState:
     worker id.
 
     Read from the specs once: ``availability``, ``rational`` (whether the
-    worker learns), ``aspiration``, ``learning_rate`` (the worker's
-    override, else the shared rate) and ``type_names``. The counter columns are
+    worker learns), ``aspiration`` and ``learning_rate`` (the worker's
+    override, else the shared rate). The counter columns are
     ``selections``, ``replies``, ``audits`` (audited replies), ``honest``
     (audited replies found correct) and ``streak`` (honest audits since the
     last catch). ``cheat_prob`` moves only for rational workers. ``resp``
@@ -79,7 +79,6 @@ class RunState:
         self.specs = specs = tuple(sorted(config.workers, key=lambda w: w.worker_id))
         n_pool = len(specs)
         self.availability = [s.availability for s in specs]
-        self.type_names = [s.worker_type.value for s in specs]
         self.rational = [s.worker_type is WorkerType.RATIONAL for s in specs]
         self.aspiration = [s.aspiration for s in specs]
         self.learning_rate = [

@@ -18,7 +18,7 @@ from repsim import (
     save_config,
     validate_config,
 )
-from repsim import cli
+from repsim import cli, engine
 from repsim.cli import (
     METRICS_COLUMNS,
     main,
@@ -88,6 +88,29 @@ class TestListCommand:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "S6" in out and "p99-r1m8" in out
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in for the process pool: record each pool's ``max_workers`` and
+    map in this process, so no worker process is ever started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 class TestRunCommand:

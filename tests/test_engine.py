@@ -9,9 +9,7 @@ from repsim import (
     check_theorem_2,
     run_batch,
     run_single,
-    validate_config,
 )
-from repsim import engine
 from repsim.scenarios import build_scenario, make_config
 
 
@@ -56,14 +54,9 @@ class TestRunSingle:
     def test_observer_sees_each_round_as_recorded(self):
         cfg = build_scenario("S5", reputation_type="boinc", post_convergence_horizon=50)
         seen = []
-
-        def observe(r, audit_prob, outcome, state):
-            seen.append((r, audit_prob, outcome, tuple(
-                (i, state.type_names[i], state.cheat_prob[i], state.resp[i], state.truth[i])
-                for i in outcome.selected
-            )))
-
-        none_kept, metrics = run_single(cfg, 9, keep_records=False, observer=observe)
+        none_kept, metrics = run_single(
+            cfg, 9, keep_records=False, observer=lambda *row: seen.append(row)
+        )
         records, same = run_single(cfg, 9)
         assert none_kept == [] and metrics == same
         assert seen == [
@@ -113,20 +106,6 @@ class TestRunSingle:
 
 
 class TestRunBatch:
-    @pytest.mark.parametrize("parallel", [1, 2])
-    def test_validates_once_per_batch(self, monkeypatch, pool_sizes, parallel):
-        calls = []
-
-        def counting(config):
-            calls.append(config)
-            return validate_config(config)
-
-        monkeypatch.setattr(engine, "validate_config", counting)
-        run_batch(build_scenario("S1", num_instantiations=3, post_convergence_horizon=5),
-                  parallel=parallel)
-        assert len(calls) == 1
-        assert pool_sizes == ([2] if parallel == 2 else [])
-
     def test_single_instantiation_stats(self):
         cfg = build_scenario("S1", num_instantiations=1, post_convergence_horizon=50)
         batch = run_batch(cfg)
