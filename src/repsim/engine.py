@@ -3,7 +3,7 @@ long-run correctness property checks."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -11,7 +11,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .master import RoundOutcome, RunState, run_master_round
+from .master import RoundOutcome, RunState, play
 from .model import (
     BufferedStream,
     ReplyValue,
@@ -262,38 +262,43 @@ def run_single(
     type_names = [spec.worker_type.value for spec in state.specs]
     p_min = config.mechanism.audit_prob_min
     horizon = config.post_convergence_horizon
+    WRONG = ReplyValue.WRONG
 
     records: list[RoundRecord] = []
+    recording = keep_records or observer is not None
     convergence_round: int | None = None
     audits_before_convergence = 0
     incorrect_before = 0
     incorrect_after = 0
     empty_after = 0
 
-    for r in range(1, config.max_rounds + 1):
-        audit_prob_before = state.audit_prob
-        outcome = run_master_round(state, stream)
-        if keep_records or observer is not None:
+    audit_prob = state.audit_prob
+    rounds = zip(range(1, config.max_rounds + 1), play(state, stream))
+    for r, (audited, accepted, selected, responders, cheats, pays) in rounds:
+        audit_prob_before, audit_prob = audit_prob, state.audit_prob
+        if recording:
+            caught = tuple(i for i, c in zip(responders, cheats) if c) if audited else ()
+            outcome = RoundOutcome(tuple(selected), tuple(responders), audited, caught,
+                                   accepted, dict(zip(responders, pays)), audit_prob)
             snapshots = tuple(
                 WorkerSnapshot(i, type_names[i], state.cheat_prob[i], state.resp[i],
                                state.truth[i])
-                for i in outcome.selected
+                for i in selected
             )
             if observer is not None:
                 observer(r, audit_prob_before, outcome, snapshots)
             if keep_records:
                 records.append(RoundRecord(r, outcome, snapshots, audit_prob_before))
 
-        accepted = outcome.accepted_value
         if convergence_round is None:
-            if outcome.audited:
+            if audited:
                 audits_before_convergence += 1
-            if accepted is ReplyValue.WRONG:
+            if accepted is WRONG:
                 incorrect_before += 1
-            if state.audit_prob == p_min:
+            if audit_prob == p_min:
                 convergence_round = r
         else:
-            if accepted is ReplyValue.WRONG:
+            if accepted is WRONG:
                 incorrect_after += 1
             if accepted is None:
                 empty_after += 1
@@ -364,20 +369,27 @@ def run_batch(
     """Run ``num_instantiations`` independent seeded runs and aggregate.
 
     Instantiation k runs on seed ``base_seed + k``. At most ``parallel``
-    processes run at once, and never more than there are runs. Results are
-    gathered and aggregated in seed order, so the outcome does not depend on
-    ``parallel``. With ``trace``, each run writes its trace file as its
-    rounds are played (a pool worker writes its own runs' files), so memory
-    does not grow with the number of rounds; the directory is created if
-    missing.
+    processes run at once, and never more than there are runs or CPUs this
+    process may use. Results are gathered and aggregated in seed order, so
+    the outcome does not depend on ``parallel``. With ``trace``, each run
+    writes its trace file as its rounds are played (a pool worker writes its
+    own runs' files), so memory does not grow with the number of rounds; the
+    directory is created if missing.
     """
     _require_valid(config)
     if trace is not None:
         Path(trace.directory).mkdir(parents=True, exist_ok=True)
     seeds = [config.seed_for(k) for k in range(config.num_instantiations)]
     tasks = [(config, seed, keep_records, trace) for seed in seeds]
-    workers = min(parallel, len(tasks))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # platforms that cannot tell which CPUs this process may use
+        cpus = os.cpu_count() or 1
+    workers = min(parallel, len(tasks), cpus)
     if workers > 1:
+        # imported here, as only a pool needs it (about 0.03 s of start-up)
+        from concurrent.futures.process import ProcessPoolExecutor
+
         # under fork, the executor starts all max_workers processes at once
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_task, tasks))

@@ -1,16 +1,15 @@
-"""One round of the mechanism over a run's state: reputation-ranked
+"""The rounds of the mechanism over a run's state: reputation-ranked
 selection, the selected workers' replies, probabilistic auditing,
 weighted-majority acceptance, payoffs, the audit-probability controller and
 the rational workers' learning."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .model import (
-    PayoffParams,
     ReplyValue,
     ScenarioConfig,
     SelectionPolicy,
@@ -27,14 +26,11 @@ if TYPE_CHECKING:  # touching np.random at run time would import numpy.random (5
 __all__ = [
     "RunState",
     "RoundOutcome",
-    "select_workers",
+    "Round",
     "select_top_n",
-    "collect_replies",
-    "decide_audit",
     "accept_by_weighted_majority",
-    "assign_payoffs",
     "update_audit_prob",
-    "run_master_round",
+    "play",
 ]
 
 
@@ -113,107 +109,36 @@ def select_top_n(rank_key: Sequence[float], n: int, rng: Stream) -> list[int]:
     return sorted(np.lexsort((keys, rank_key))[:n].tolist())
 
 
-def select_workers(state: RunState, rng: Stream) -> list[int]:
-    """Choose this round's worker set according to the selection policy."""
-    if state.fixed_selection is not None:
-        return list(state.fixed_selection)
-    return select_top_n(state.rank_key, state.params.select_n, rng)
-
-
-def collect_replies(
-    state: RunState,
-    selected: Sequence[int],
-    rng: Stream,
-) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """Draw the selected workers' replies, in id order on one stream.
-
-    Each selected worker takes one Bernoulli(availability) draw: does the
-    master get a reply this round? The same draw covers computing, replying
-    and payoff delivery. An available rational worker takes one more draw
-    to decide whether to cheat; the fixed types reply by their pinned
-    cheat_prob. All cheaters return the same incorrect value, so a reply is
-    WRONG exactly when its sender cheated. Counts the selections and replies
-    and refreshes responsiveness. Returns the responders and, for each,
-    whether it cheated.
-    """
-    draw = rng.random
-    availability, rational, cheat_prob = state.availability, state.rational, state.cheat_prob
-    selections, replies = state.selections, state.replies
-    resp, truth, rank_key = state.resp, state.truth, state.rank_key
-    responders: list[int] = []
-    cheats: list[bool] = []
-    for i in selected:
-        selections[i] += 1
-        if draw() < availability[i]:
-            replies[i] += 1
-            responders.append(i)
-            cheats.append(draw() < cheat_prob[i] if rational[i] else cheat_prob[i] == 1.0)
-        r = resp[i] = responsiveness(replies[i], selections[i])
-        rank_key[i] = -(r * truth[i])
-    return tuple(responders), tuple(cheats)
-
-
-def decide_audit(state: RunState, rng: Stream) -> bool:
-    """Bernoulli(audit_prob); consumes exactly one draw."""
-    return rng.random() < state.audit_prob
-
-
 def accept_by_weighted_majority(
     responders: Sequence[int],
     cheats: Sequence[bool],
     truth: Mapping[int, float] | Sequence[float],
     rng: Stream,
-) -> tuple[ReplyValue | None, tuple[int, ...]]:
-    """Accept the reply value whose senders' summed truthfulness is maximal.
+) -> bool:
+    """Whether WRONG wins the weighted vote of an unaudited round.
 
     ``responders`` are ascending ids, ``cheats`` says per responder whether
-    it replied WRONG, and ``truth`` maps an id to its truthfulness. Only
-    truthfulness (not combined reputation) weighs the vote. A tie, including
-    the all-zero case, breaks uniformly at random. Returns the accepted value
-    and the ids of its group (the workers to reward); with no replies,
-    returns ``(None, ())``.
+    it replied WRONG, and ``truth`` maps an id to its truthfulness. The value
+    whose senders' summed truthfulness is maximal wins; only truthfulness
+    (not combined reputation) weighs the vote. A tie between two non-empty
+    groups, including the all-zero case, breaks uniformly at random with one
+    ``integers(2)`` draw. Without cheaters (or replies) CORRECT wins and
+    nothing is drawn. The winning group, the workers to reward, are the
+    responders whose cheat flag equals the result.
     """
-    if not responders:
-        return None, ()
-    honest: list[int] = []
-    cheaters: list[int] = []
+    if not any(cheats):
+        return False
+    if all(cheats):
+        return True
     w_honest = w_cheat = 0.0
     for i, cheated in zip(responders, cheats):
         if cheated:
-            cheaters.append(i)
             w_cheat += truth[i]
         else:
-            honest.append(i)
             w_honest += truth[i]
-    if not cheaters:
-        return ReplyValue.CORRECT, tuple(honest)
-    if not honest:
-        return ReplyValue.WRONG, tuple(cheaters)
     if w_honest == w_cheat:
-        wrong = bool(rng.integers(2))
-    else:
-        wrong = w_cheat > w_honest
-    return (ReplyValue.WRONG, tuple(cheaters)) if wrong else (ReplyValue.CORRECT, tuple(honest))
-
-
-def assign_payoffs(
-    audited: bool,
-    responders: Sequence[int],
-    cheats: Sequence[bool],
-    rewarded: Sequence[int],
-    payoffs: PayoffParams,
-) -> dict[int, float]:
-    """Per-responder payoffs for one round.
-
-    Audited: caught cheaters are fined, honest responders rewarded. Unaudited:
-    the accepted group is rewarded, other responders get zero. Selected
-    non-responders are absent (nothing is delivered to them).
-    """
-    reward = payoffs.reward_WBy
-    if audited:
-        fine = -payoffs.punishment_WPc
-        return {i: fine if cheated else reward for i, cheated in zip(responders, cheats)}
-    return {i: reward if i in rewarded else 0.0 for i in responders}
+        return bool(rng.integers(2))
+    return w_cheat > w_honest
 
 
 def update_audit_prob(
@@ -244,60 +169,93 @@ def update_audit_prob(
     return min(1.0, max(params.audit_prob_min, shifted))
 
 
-def run_master_round(state: RunState, rng: Stream) -> RoundOutcome:
-    """Play one full round, updating the state's columns in place.
+# What ``play`` yields after each round: whether it was audited, the accepted
+# value (None when nobody replied), the selected ids (ascending), the
+# responders (ascending), whether each responder cheated, and the payoff
+# delivered to each responder. Selected workers that did not reply receive
+# nothing and perform no learning update.
+Round = tuple[bool, ReplyValue | None, Sequence[int], list[int], list[bool], list[float]]
 
-    Phases, in order: select the round's workers; collect their replies
-    (counting selections and replies); decide whether to audit. An audited
-    round adjusts the audit probability (from pre-audit truthfulness
-    values), counts every responder's audit, and accepts the master's own
-    result; an unaudited round accepts the weighted majority. Finally,
-    payoffs are delivered to responders, and rational responders run their
-    learning update.
+
+def play(state: RunState, rng: Stream) -> Iterator[Round]:
+    """Play rounds forever, updating the state's columns in place and
+    yielding each round's ``Round`` once it is complete.
+
+    The run's constants and columns are bound once. ``state.audit_prob`` is
+    read when the first round starts and kept current from then on; the
+    column lists may be changed in place between rounds. A round's draws come from
+    ``rng`` in phase order: selection, replies, the audit decision, and the
+    vote's tie break.
     """
-    params = state.params
-    selected = select_workers(state, rng)
-    responders, cheats = collect_replies(state, selected, rng)
-
-    audited = decide_audit(state, rng)
-    caught: tuple[int, ...] = ()
-    if audited:
-        caught = tuple(i for i, c in zip(responders, cheats) if c)
-        new_audit_prob = update_audit_prob(state, responders, caught)
-        rep_type, epsilon = params.reputation_type, params.exponential_base_epsilon
-        audits, honest, streak = state.audits, state.honest, state.streak
-        resp, truth, rank_key = state.resp, state.truth, state.rank_key
-        for i, cheated in zip(responders, cheats):
-            audits[i] += 1
-            if cheated:
-                streak[i] = 0
-            else:
-                honest[i] += 1
-                streak[i] += 1
-            t = truth[i] = truthfulness(rep_type, audits[i], honest[i], streak[i], epsilon)
-            rank_key[i] = -(resp[i] * t)
-        state.audit_prob = new_audit_prob
-        accepted: ReplyValue | None = ReplyValue.CORRECT
-        rewarded = tuple(i for i, c in zip(responders, cheats) if not c)
-    else:
-        accepted, rewarded = accept_by_weighted_majority(responders, cheats, state.truth, rng)
-
-    payoff_map = assign_payoffs(audited, responders, cheats, rewarded, state.payoffs)
-    rational, cheat_prob = state.rational, state.cheat_prob
+    params, payoffs = state.params, state.payoffs
+    draw = rng.random
+    select_n, fixed = params.select_n, state.fixed_selection
+    rep_type, epsilon = params.reputation_type, params.exponential_base_epsilon
+    reward, fine = payoffs.reward_WBy, -payoffs.punishment_WPc
+    task_cost = payoffs.task_cost_WCt
+    availability, rational, cheat_prob = state.availability, state.rational, state.cheat_prob
     aspiration, learning_rate = state.aspiration, state.learning_rate
-    task_cost = state.payoffs.task_cost_WCt
-    for i, cheated in zip(responders, cheats):
-        if rational[i]:
-            cheat_prob[i] = update_cheat_prob(
-                cheat_prob[i], payoff_map[i], cheated, aspiration[i], task_cost, learning_rate[i]
-            )
+    selections, replies = state.selections, state.replies
+    audits, honest, streak = state.audits, state.honest, state.streak
+    resp, truth, rank_key = state.resp, state.truth, state.rank_key
+    CORRECT, WRONG = ReplyValue.CORRECT, ReplyValue.WRONG
+    audit_prob = state.audit_prob
 
-    return RoundOutcome(
-        selected=tuple(selected),
-        responders=responders,
-        audited=audited,
-        cheaters_caught=caught,
-        accepted_value=accepted,
-        payoffs=payoff_map,
-        audit_prob_after=state.audit_prob,
-    )
+    while True:
+        # Selection: the fixed set, or the n most reputable workers.
+        selected = fixed if fixed is not None else select_top_n(rank_key, select_n, rng)
+
+        # Replies, in id order: each selected worker takes one
+        # Bernoulli(availability) draw, which covers computing, replying and
+        # payoff delivery. An available rational worker takes one more draw
+        # to decide whether to cheat; the fixed types reply by their pinned
+        # cheat_prob. All cheaters return the same incorrect value, so a
+        # reply is WRONG exactly when its sender cheated. Selections and
+        # replies are counted and responsiveness refreshed.
+        responders: list[int] = []
+        cheats: list[bool] = []
+        for i in selected:
+            selections[i] += 1
+            if draw() < availability[i]:
+                replies[i] += 1
+                responders.append(i)
+                cheats.append(draw() < cheat_prob[i] if rational[i] else cheat_prob[i] == 1.0)
+            r = resp[i] = responsiveness(replies[i], selections[i])
+            rank_key[i] = -(r * truth[i])
+
+        # Audit decision: one Bernoulli(audit_prob) draw.
+        audited = draw() < audit_prob
+        if audited:
+            # The controller moves the audit probability on the truthfulness
+            # the master held when it assigned the task; then every
+            # responder's audit is counted, and the master accepts its own,
+            # correct result. Caught cheaters are fined, the honest rewarded.
+            caught = [i for i, cheated in zip(responders, cheats) if cheated]
+            audit_prob = state.audit_prob = update_audit_prob(state, responders, caught)
+            for i, cheated in zip(responders, cheats):
+                audits[i] += 1
+                if cheated:
+                    streak[i] = 0
+                else:
+                    honest[i] += 1
+                    streak[i] += 1
+                t = truth[i] = truthfulness(rep_type, audits[i], honest[i], streak[i], epsilon)
+                rank_key[i] = -(resp[i] * t)
+            accepted: ReplyValue | None = CORRECT
+            pays = [fine if cheated else reward for cheated in cheats]
+        elif responders:
+            # Weighted vote: the winning group is rewarded, the others get 0.
+            wrong = accept_by_weighted_majority(responders, cheats, truth, rng)
+            accepted = WRONG if wrong else CORRECT
+            pays = [reward if cheated == wrong else 0.0 for cheated in cheats]
+        else:
+            accepted, pays = None, []
+
+        # Learning: each rational responder updates on its payoff.
+        for i, cheated, pay in zip(responders, cheats, pays):
+            if rational[i]:
+                cheat_prob[i] = update_cheat_prob(
+                    cheat_prob[i], pay, cheated, aspiration[i], task_cost, learning_rate[i]
+                )
+
+        yield audited, accepted, selected, responders, cheats, pays

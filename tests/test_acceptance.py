@@ -28,13 +28,7 @@ from repsim import (
     run_single,
 )
 from repsim.cli import emit_results
-from repsim.master import (
-    RunState,
-    accept_by_weighted_majority,
-    assign_payoffs,
-    run_master_round,
-    update_audit_prob,
-)
+from repsim.master import RunState, accept_by_weighted_majority, play, update_audit_prob
 from repsim.model import make_stream
 from repsim.reputation import responsiveness, truthfulness
 from repsim.scenarios import build_scenario, make_config
@@ -103,14 +97,14 @@ def test_c1_formula_unit_suite():
         # counter operations, through one round of a single selected worker
         one = state(WorkerType.ALTRUISTIC, n_pool=1, select_n=1, audit_prob=1.0,
                     policy=SelectionPolicy.FIXED_RANDOM)
-        run_master_round(one, make_stream(3))
+        next(play(one, make_stream(3)))
         assert counters(one) == (1, 1, 1, 1, 1)
         one = state(WorkerType.MALICIOUS, n_pool=1, select_n=1, audit_prob=1.0,
                     policy=SelectionPolicy.FIXED_RANDOM)
         one.selections[0], one.replies[0], one.audits[0], one.honest[0], one.streak[0] = (
             30, 30, 25, 23, 23
         )
-        run_master_round(one, make_stream(4))
+        next(play(one, make_stream(4)))
         assert counters(one) == (31, 31, 26, 23, 0)
 
         # rational worker learning updates (shared parameterization)
@@ -134,18 +128,31 @@ def test_c1_formula_unit_suite():
         assert update_audit_prob(master(0.05), [0, 1], []) == 0.01
         assert update_audit_prob(master(0.95, reputation=B), [0, 1, 2], []) == 1.0
 
-        # weighted majority and payoff assignment
+        # weighted majority and payoff assignment, through one round of a
+        # fixed pool whose replies and audit decision are forced
+        def one_round(worker_type, n_pool, audited, replied=True, cheat_prob=None, truth=None):
+            fixed = state(worker_type, n_pool=n_pool, select_n=n_pool, payoffs=payoffs,
+                          audit_prob=1.0 if audited else 0.0,
+                          policy=SelectionPolicy.FIXED_RANDOM)
+            fixed.availability[:] = [1.0 if replied else 0.0] * n_pool
+            if cheat_prob is not None:
+                fixed.cheat_prob[:] = cheat_prob
+            if truth is not None:
+                fixed.truth[:] = truth
+            _, accepted, _, responders, cheats, pays = next(play(fixed, make_stream(1)))
+            rewarded = tuple(i for i, p in zip(responders, pays) if p == payoffs.reward_WBy)
+            return accepted, rewarded, dict(zip(responders, pays))
+
         responders, cheats = (0, 1, 2), (False, False, True)
-        accepted, rewarded = accept_by_weighted_majority(
-            responders, cheats, {0: 0.9, 1: 0.8, 2: 0.4}, make_stream(1)
-        )
+        truth = [0.9, 0.8, 0.4]
+        assert not accept_by_weighted_majority(responders, cheats, truth, make_stream(1))
+        accepted, rewarded, paid = one_round(WorkerType.ALTRUISTIC, 3, audited=False,
+                                             cheat_prob=[0.0, 0.0, 1.0], truth=truth)
         assert accepted is ReplyValue.CORRECT and rewarded == (0, 1)
-        assert accept_by_weighted_majority((), (), {}, make_stream(2)) == (None, ())
-        assert assign_payoffs(True, (0,), (True,), (), payoffs) == {0: 0.0}
-        assert assign_payoffs(True, (0,), (False,), (), payoffs) == {0: 1.0}
-        assert assign_payoffs(False, responders, cheats, (0, 1), payoffs) == {
-            0: 1.0, 1: 1.0, 2: 0.0
-        }
+        assert paid == {0: 1.0, 1: 1.0, 2: 0.0}
+        assert one_round(WorkerType.ALTRUISTIC, 3, audited=False, replied=False) == (None, (), {})
+        assert one_round(WorkerType.MALICIOUS, 1, audited=True)[2] == {0: 0.0}
+        assert one_round(WorkerType.ALTRUISTIC, 1, audited=True)[2] == {0: 1.0}
 
 
 def test_c2_deterministic_audit_count_law():

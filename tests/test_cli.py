@@ -1,8 +1,10 @@
+import concurrent.futures.process
 import contextlib
 import copy
 import csv
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from repsim import (
     save_config,
     validate_config,
 )
-from repsim import cli, engine
+from repsim import cli
 from repsim.cli import (
     METRICS_COLUMNS,
     main,
@@ -93,7 +95,8 @@ class TestListCommand:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Stand in for the process pool: record each pool's ``max_workers`` and
-    map in this process, so no worker process is ever started."""
+    map in this process, so no worker process is ever started. This process
+    appears to have 64 CPUs."""
     sizes = []
 
     class RecordingPool:
@@ -109,7 +112,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     return sizes
 
 
@@ -254,6 +258,17 @@ class TestRunCommand:
         assert self.run_s1(tmp_path / "b", "--runs", "5", "--parallel", "2") == 0
         assert self.run_s1(tmp_path / "c", "--runs", "1", "--parallel", "4") == 0  # in-process
         assert pool_sizes == [3, 2]
+
+    def test_parallel_pool_never_exceeds_usable_cpus(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert self.run_s1(tmp_path / "a", "--runs", "5", "--parallel", "100000") == 0
+        # where the platform cannot tell the usable CPUs, the machine's count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert self.run_s1(tmp_path / "b", "--runs", "5", "--parallel", "100000") == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: in-process
+        assert self.run_s1(tmp_path / "c", "--runs", "5", "--parallel", "100000") == 0
+        assert pool_sizes == [2, 3]
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_parallel_below_one_exits_2(self, tmp_path, capsys, pool_sizes, value):

@@ -2,6 +2,7 @@ import pytest
 
 from repsim import (
     ReplyValue,
+    ReputationType,
     SelectionPolicy,
     Verdict,
     WorkerType,
@@ -10,7 +11,7 @@ from repsim import (
     run_batch,
     run_single,
 )
-from repsim.scenarios import build_scenario, make_config
+from repsim.scenarios import build_scenario, list_scenarios, make_config
 
 
 def all_malicious_frozen(max_rounds=2_000, runs=1):
@@ -43,13 +44,21 @@ class TestRunSingle:
         assert a_metrics == b_metrics
         assert a_records == b_records
 
-    def test_keep_records_off_same_metrics(self):
-        cfg = build_scenario("S3", post_convergence_horizon=50)
+    @pytest.mark.parametrize("reputation", [t.value for t in ReputationType])
+    @pytest.mark.parametrize("preset", [p.name for p in list_scenarios()])
+    def test_keep_records_off_same_metrics(self, preset, reputation):
+        # the rounds are recorded on a branch of their own: keeping records,
+        # observing and neither must not change what a run measures
+        cfg = build_scenario(preset, reputation_type=reputation, post_convergence_horizon=50)
         records, with_records = run_single(cfg, 5)
+        seen = []
+        observed_kept, observed = run_single(
+            cfg, 5, keep_records=False, observer=lambda *row: seen.append(row)
+        )
         none_kept, without = run_single(cfg, 5, keep_records=False)
-        assert none_kept == []
-        assert with_records == without
-        assert len(records) == with_records.convergence_round + 50
+        assert none_kept == observed_kept == []
+        assert with_records == without == observed
+        assert len(seen) == len(records) == with_records.convergence_round + 50
 
     def test_observer_sees_each_round_as_recorded(self):
         cfg = build_scenario("S5", reputation_type="boinc", post_convergence_horizon=50)

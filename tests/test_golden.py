@@ -1,6 +1,6 @@
 """Golden-output regression: the CLI's emitted bytes, the theorem checks'
-reason strings and the stdout of the fast demos, pinned against digests
-recorded from a reference build.
+reason strings, the kept round records and the stdout of the fast demos,
+pinned against digests recorded from a reference build.
 
 Any change here means the random streams, a metric, a file format or the
 printed summary changed. Such a change must be deliberate and declared;
@@ -23,6 +23,7 @@ from repsim import (
     check_theorem_1,
     check_theorem_2,
     config_to_dict,
+    run_single,
     save_config,
 )
 from repsim.cli import main
@@ -32,6 +33,7 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 DEMOS = Path(__file__).parent.parent / "demos"
 PINNED_DEMOS = ("01_reputation_types.py", "05_frozen_selection_pitfall.py")
 
+RECORD_PRESETS = ("S2", "S3", "S5", "p5-r5m4", "p99-r1m8")
 PRESETS = ("S1", "S2", "S3", "S4", "S5", "S6", "p5-r5m4", "p9-r4m5", "p99-r1m8")
 REPUTATIONS = ("linear", "exponential", "boinc")
 FORMATS = ("csv", "jsonl")
@@ -128,6 +130,21 @@ def _batch_digests(tmp: Path) -> dict[str, str]:
     }
 
 
+def _record_digests() -> dict[str, str]:
+    """sha256 of ``repr`` of each run's kept records and metrics, which
+    also pin what a trace omits: responders, caught cheaters, payoffs and
+    the audit probability after each round."""
+    out = {}
+    for preset in RECORD_PRESETS:
+        for rep in REPUTATIONS:
+            config = build_scenario(preset, reputation_type=rep, post_convergence_horizon=50)
+            for k in range(2):
+                seed = config.seed_for(k)
+                run = run_single(config, seed, keep_records=True)
+                out[f"{preset}/{rep}/{seed}"] = hashlib.sha256(repr(run).encode()).hexdigest()
+    return out
+
+
 def _demo_digests() -> dict[str, str]:
     """sha256 of each pinned demo's stdout."""
     out = {}
@@ -155,6 +172,10 @@ def test_theorem_reports_match_golden(golden):
     assert _theorem_reports() == golden["theorems"]
 
 
+def test_kept_records_match_golden(golden):
+    assert _record_digests() == golden["records"]
+
+
 def test_demo_outputs_match_golden(golden):
     assert _demo_digests() == golden["demos"]
 
@@ -166,6 +187,7 @@ if __name__ == "__main__":
         pins = {
             "batches": _batch_digests(Path(tmp)),
             "theorems": _theorem_reports(),
+            "records": _record_digests(),
             "demos": _demo_digests(),
         }
         GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

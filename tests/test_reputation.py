@@ -12,7 +12,7 @@ from repsim import (
     WorkerSpec,
     WorkerType,
 )
-from repsim.master import RunState, run_master_round
+from repsim.master import RunState, play
 from repsim.model import make_stream
 from repsim.reputation import responsiveness, truthfulness
 
@@ -47,11 +47,11 @@ def counters(state):
 
 
 def play_round(state, replied=True, audited=True):
-    """One round of ``run_master_round`` with its draws forced: the worker
+    """One round of ``play`` with its draws forced: the worker
     replies iff ``replied`` and the master audits iff ``audited``."""
     state.availability[0] = 1.0 if replied else 0.0
     state.audit_prob = 1.0 if audited else 0.0
-    return run_master_round(state, make_stream(1))
+    return next(play(state, make_stream(1)))
 
 
 # Valid histories: per round (replied?, audit outcome in {None, True, False}).

@@ -13,7 +13,7 @@ from hypothesis import example, given, strategies as st
 
 import repsim
 from repsim import run_single
-from repsim.master import RunState, run_master_round
+from repsim.master import RunState, play
 from repsim.model import BufferedStream, make_stream
 from repsim.scenarios import build_scenario
 
@@ -87,13 +87,18 @@ def test_run_single_matches_plain_generator_reference(preset, reputation):
     state = RunState(config, rng)
     counting = CountingGenerator(rng)
     reference = []
-    for r in range(1, ROUNDS + 1):
-        before = state.audit_prob
-        outcome = run_master_round(state, counting)
+    before = state.audit_prob
+    for r, (audited, accepted, selected, responders, cheats, payoffs) in zip(
+        range(1, ROUNDS + 1), play(state, counting)
+    ):
+        caught = tuple(i for i, c in zip(responders, cheats) if c) if audited else ()
+        outcome = (tuple(selected), tuple(responders), audited, caught, accepted,
+                   dict(zip(responders, payoffs)), state.audit_prob)
         snapshots = tuple(
-            (i, state.cheat_prob[i], state.resp[i], state.truth[i]) for i in outcome.selected
+            (i, state.cheat_prob[i], state.resp[i], state.truth[i]) for i in selected
         )
         reference.append((r, outcome, snapshots, before))
+        before = state.audit_prob
 
     assert len(records) == ROUNDS
     for record, (r, outcome, snapshots, before) in zip(records, reference):
@@ -105,10 +110,12 @@ def test_run_single_matches_plain_generator_reference(preset, reputation):
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # numpy.random adds about 5.5 MB of RSS; only a run should load it
+    # numpy.random adds about 5.5 MB of RSS, and only a run should load it;
+    # the process pool's module costs about 0.03 s, and only a pool should
     src = str(Path(repsim.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, repsim.cli; print('numpy.random' in sys.modules)"
+    modules = ("numpy.random", "concurrent.futures.process")
+    code = f"import sys, repsim.cli; print([m in sys.modules for m in {modules!r}])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

@@ -10,7 +10,7 @@ from repsim import (
     WorkerSpec,
     WorkerType,
 )
-from repsim.master import RunState, accept_by_weighted_majority, collect_replies, run_master_round
+from repsim.master import RunState, play
 from repsim.model import ReplyValue, make_stream
 from repsim.worker import initial_cheat_prob, update_cheat_prob
 
@@ -45,30 +45,35 @@ def rational(cheat_prob=0.5, availability=1.0):
                            initial_cheat_prob=cheat_prob))
 
 
+def replies_of(state, rng, rounds):
+    """Per round of ``play``, the responders and whether each cheated."""
+    return [(tuple(responders), cheats)
+            for _, (_, _, _, responders, cheats, _) in zip(range(rounds), play(state, rng))]
+
+
 def cheats_of(state, rng, rounds):
     """Per round, whether worker 0 cheated (all workers always available)."""
-    return [collect_replies(state, [0], rng)[1][0] for _ in range(rounds)]
+    return [cheats[0] for _, cheats in replies_of(state, rng, rounds)]
 
 
 class TestAvailability:
     def test_always_available(self):
         rng = make_stream(1)
         state = fixed(WorkerType.ALTRUISTIC, availability=1.0)
-        assert all(collect_replies(state, [0], rng)[0] == (0,) for _ in range(1000))
+        assert all(responders == (0,) for responders, _ in replies_of(state, rng, 1000))
 
     def test_half_available_mean(self):
         # binomial: 10000 draws at d=0.5, mean within +/-0.02 (~4 sigma)
         rng = make_stream(2)
         state = fixed(WorkerType.ALTRUISTIC, availability=0.5)
-        mean = np.mean([bool(collect_replies(state, [0], rng)[0]) for _ in range(10_000)])
+        mean = np.mean([bool(responders) for responders, _ in replies_of(state, rng, 10_000)])
         assert 0.48 <= mean <= 0.52
 
     def test_distinct_workers_draw_independently(self):
         rng = make_stream(3)
         state = fixed(WorkerType.ALTRUISTIC, availability=0.5, count=2)
         draws = np.array(
-            [[i in collect_replies(state, [0, 1], rng)[0] for i in (0, 1)]
-             for _ in range(10_000)],
+            [[i in responders for i in (0, 1)] for responders, _ in replies_of(state, rng, 10_000)],
             dtype=float,
         )
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
@@ -91,10 +96,12 @@ class TestProduceReply:
         rng = make_stream(7)
         state = pool(*(WorkerSpec(i, WorkerType.RATIONAL, initial_cheat_prob=0.5)
                        for i in range(5)))
+        state.audit_prob = 0.0  # every round unaudited
         seen = set()
         for _ in range(200):
-            responders, cheats = collect_replies(state, range(5), rng)
-            accepted, group = accept_by_weighted_majority(responders, cheats, state.truth, rng)
+            state.cheat_prob[:] = [0.5] * 5  # undo the last round's learning
+            _, accepted, _, responders, cheats, payoffs = next(play(state, rng))
+            group = [i for i, p in zip(responders, payoffs) if p == PAYOFFS.reward_WBy]
             cheated = {i for i, c in zip(responders, cheats) if c}
             assert (accepted is ReplyValue.WRONG) == (set(group) == cheated)
             seen.add(accepted)
@@ -150,10 +157,10 @@ def test_deterministic_given_seed():
         rng = make_stream(42)
         state = pool(*(WorkerSpec(i, WorkerType.ALTRUISTIC) for i in range(3)), spec)
         trail = []
-        for _ in range(50):
-            outcome = run_master_round(state, rng)
-            if 3 in outcome.responders:
-                trail.append((3 in outcome.cheaters_caught, state.cheat_prob[3]))
+        for _, (audited, _, _, responders, cheats, _) in zip(range(50), play(state, rng)):
+            if 3 in responders:
+                caught = audited and cheats[responders.index(3)]
+                trail.append((caught, state.cheat_prob[3]))
         results.append(trail)
     assert results[0] == results[1]
     assert results[0]
