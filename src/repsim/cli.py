@@ -11,8 +11,6 @@ import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from .engine import (
     FORMATS,
     METRICS,
@@ -21,7 +19,7 @@ from .engine import (
     RunMetrics,
     TraceTarget,
     TraceWriter,
-    converged_columns,
+    aggregate_metrics,
     run_batch,
 )
 from .model import (
@@ -39,7 +37,6 @@ __all__ = [
     "write_metrics",
     "write_trace",
     "read_metrics_csv",
-    "summary_stats",
     "format_summary",
     "main",
 ]
@@ -120,30 +117,18 @@ def emit_results(batch: BatchResult, out_dir: Path, fmt: str = "csv") -> Path:
     return metrics_path
 
 
-def summary_stats(runs: Sequence[RunMetrics]) -> dict[str, dict[str, float]]:
-    """Median and interquartile range per metric over the converged runs."""
-    if all(m.not_converged for m in runs):
-        return {}
-    out: dict[str, dict[str, float]] = {}
-    for name, arr in converged_columns(runs).items():
-        q25, median, q75 = (float(q) for q in np.percentile(arr, [25, 50, 75]))
-        out[name] = {"median": median, "q25": q25, "q75": q75}
-    return out
-
-
 def format_summary(runs: Sequence[RunMetrics]) -> str:
-    stats = summary_stats(runs)
-    total = len(runs)
-    converged = sum(1 for m in runs if not m.not_converged)
-    violated = sum(1 for m in runs if m.eventual_correctness_violated)
+    """The printed batch summary: the run counts, then the median and
+    quartiles of each metric over the converged runs (``aggregate_metrics``)."""
+    agg = aggregate_metrics(runs)
     lines = [
-        f"runs: {total}  converged: {converged}  not converged: {total - converged}  "
-        f"violations: {violated}",
+        f"runs: {len(runs)}  converged: {agg.converged_count}  "
+        f"not converged: {agg.not_converged_count}  violations: {agg.violated_count}",
     ]
-    if stats:
+    if agg.metrics:
         lines.append(f"{'metric':<24} {'median':>10} {'q25':>10} {'q75':>10}")
-        for name, s in stats.items():
-            lines.append(f"{name:<24} {s['median']:>10g} {s['q25']:>10g} {s['q75']:>10g}")
+        for name, s in agg.metrics.items():
+            lines.append(f"{name:<24} {s.median:>10g} {s.q25:>10g} {s.q75:>10g}")
     else:
         lines.append("no converged runs; per-run metrics emitted, statistics skipped")
     return "\n".join(lines)
@@ -157,6 +142,8 @@ def _apply_set_override(cfg: dict[str, Any], assignment: str) -> None:
         value: Any = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise ValueError(f"--set: value of {path!r} is nested too deeply") from None
     *parents, leaf = path.split(".")
     node = cfg
     for part in parents:
@@ -235,7 +222,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     print(format_summary(batch.runs))
     print(f"per-run metrics: {metrics_path}")
-    if all(m.not_converged for m in batch.runs):
+    if not batch.aggregate.converged_count:
         print("error: no run converged within max_rounds", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK

@@ -210,16 +210,23 @@ class RunMetrics:
 
 @dataclass(frozen=True)
 class MetricSummary:
+    """One metric over a batch's converged runs; ``std`` is the population
+    standard deviation and the quartiles interpolate linearly."""
+
     minimum: float
     maximum: float
     mean: float
     median: float
     std: float
+    q25: float
+    q75: float
 
 
 @dataclass(frozen=True)
 class AggregateStats:
-    """Per-metric statistics over the converged runs of a batch."""
+    """Per-metric statistics over the converged runs of a batch, and the
+    batch's run counts; ``violated_count`` includes every run that never
+    converged (see ``RunMetrics.eventual_correctness_violated``)."""
 
     metrics: dict[str, MetricSummary]
     converged_count: int
@@ -328,34 +335,23 @@ def _batch_task(args: tuple[ScenarioConfig, int, bool, TraceTarget | None]):
     return tuple(records), metrics
 
 
-def converged_columns(runs: Sequence[RunMetrics]) -> dict[str, np.ndarray]:
-    """Each metric column of ``METRICS`` over the converged runs, in run
-    order; every array is empty when no run converged."""
+def aggregate_metrics(runs: Sequence[RunMetrics]) -> AggregateStats:
+    """Every statistic and count a batch reports, in one pass over a
+    (metric x converged run) table; no statistics when no run converged."""
     converged = [m for m in runs if not m.not_converged]
-    return {
-        name: np.asarray([getattr(m, attr) for m in converged], dtype=float)
-        for name, attr in METRICS
-    }
-
-
-def aggregate_metrics(runs: list[RunMetrics]) -> AggregateStats:
-    """Min/max/mean/median/std per metric over the converged runs."""
-    columns = converged_columns(runs)
-    converged = len(columns["convergence_round"])
-    stats = {
-        name: MetricSummary(
-            minimum=float(arr.min()),
-            maximum=float(arr.max()),
-            mean=float(arr.mean()),
-            median=float(np.median(arr)),
-            std=float(arr.std()),
-        )
-        for name, arr in columns.items()
-    } if converged else {}
+    stats = {}
+    if converged:
+        table = np.array([[getattr(m, attr) for m in converged] for _, attr in METRICS],
+                         dtype=float)
+        quantiles = np.percentile(table, (0, 25, 50, 75, 100), axis=1).T.tolist()
+        means, stds = table.mean(axis=1).tolist(), table.std(axis=1).tolist()
+        rows = zip(METRICS, quantiles, means, stds)
+        for (name, _), (lo, q25, median, q75, hi), mean, std in rows:
+            stats[name] = MetricSummary(lo, hi, mean, median, std, q25, q75)
     return AggregateStats(
         metrics=stats,
-        converged_count=converged,
-        not_converged_count=len(runs) - converged,
+        converged_count=len(converged),
+        not_converged_count=len(runs) - len(converged),
         violated_count=sum(1 for m in runs if m.eventual_correctness_violated),
     )
 
@@ -441,11 +437,12 @@ def _check(
         names = " or ".join(t.value for t in reputation_types)
         return TheoremReport(Verdict.INAPPLICABLE, f"reputation type must be {names}")
 
-    runs = run_batch(config, parallel=parallel).runs
-    converged = [m for m in runs if not m.not_converged]
-    violating = sum(1 for m in converged if m.eventual_correctness_violated)
-    verdict, reason = judge(len(converged), violating)
-    return TheoremReport(verdict, reason, len(runs), len(converged), violating)
+    batch = run_batch(config, parallel=parallel)
+    agg = batch.aggregate
+    # every run that never converged counts as violated; the theorems judge the others
+    violating = agg.violated_count - agg.not_converged_count
+    verdict, reason = judge(agg.converged_count, violating)
+    return TheoremReport(verdict, reason, len(batch.runs), agg.converged_count, violating)
 
 
 def check_theorem_1(config: ScenarioConfig, parallel: int = 1) -> TheoremReport:

@@ -408,4 +408,9 @@ def save_config(config: ScenarioConfig, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
+    text = Path(path).read_text()
+    try:
+        d = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"config file {str(path)!r} is nested too deeply") from None
+    return config_from_dict(d)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .model import (
     MechanismParams,
     PayoffParams,
@@ -30,48 +28,20 @@ __all__ = [
     "list_scenarios",
     "get_scenario",
     "build_scenario",
-    "DEFAULT_BASE_SEED",
 ]
 
-DEFAULT_BASE_SEED = ScenarioConfig.base_seed
 DEFAULT_SELECT_N = 5
 
 Group = tuple[int, WorkerType, float]  # (count, type, availability)
 
 
-def make_workers(
-    groups: Sequence[Group],
-    aspiration: float = WorkerSpec.aspiration,
-    initial_cheat_prob: float = WorkerSpec.initial_cheat_prob,
-    aspiration_jitter: float = 0.0,
-    base_seed: int = DEFAULT_BASE_SEED,
-) -> tuple[WorkerSpec, ...]:
-    """Expand (count, type, availability) groups into a dense worker list.
-
-    With a nonzero ``aspiration_jitter`` each worker's aspiration is drawn
-    uniformly from [a - jitter, a + jitter] (floored at 0) on a stream
-    derived from the base seed, so the drawn pool is reproducible.
-    """
-    workers: list[WorkerSpec] = []
-    jitter_rng = None
-    if aspiration_jitter > 0.0:
-        jitter_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([base_seed % (1 << 64), 0xA5]))
-        )
-    for count, worker_type, availability in groups:
-        for _ in range(count):
-            a = aspiration
-            if jitter_rng is not None:
-                a = max(0.0, jitter_rng.uniform(aspiration - aspiration_jitter,
-                                                aspiration + aspiration_jitter))
-            workers.append(WorkerSpec(
-                worker_id=len(workers),
-                worker_type=worker_type,
-                availability=availability,
-                aspiration=a,
-                initial_cheat_prob=initial_cheat_prob,
-            ))
-    return tuple(workers)
+def make_workers(groups: Sequence[Group]) -> tuple[WorkerSpec, ...]:
+    """Expand (count, type, availability) groups into a dense worker list."""
+    expanded = [(kind, avail) for count, kind, avail in groups for _ in range(count)]
+    return tuple(
+        WorkerSpec(worker_id=k, worker_type=kind, availability=avail)
+        for k, (kind, avail) in enumerate(expanded)
+    )
 
 
 def make_config(
@@ -82,8 +52,7 @@ def make_config(
     num_instantiations: int = ScenarioConfig.num_instantiations,
     max_rounds: int = ScenarioConfig.max_rounds,
     post_convergence_horizon: int = ScenarioConfig.post_convergence_horizon,
-    base_seed: int = DEFAULT_BASE_SEED,
-    aspiration_jitter: float = 0.0,
+    base_seed: int = ScenarioConfig.base_seed,
     selection_policy: SelectionPolicy | None = None,
 ) -> ScenarioConfig:
     """Scenario with the shared defaults and the given pool composition.
@@ -93,11 +62,7 @@ def make_config(
     rank) falls back to the frozen-selection policy, which then selects the
     whole pool.
     """
-    workers = make_workers(
-        groups,
-        aspiration_jitter=aspiration_jitter,
-        base_seed=base_seed,
-    )
+    workers = make_workers(groups)
     pool_size = len(workers)
     if selection_policy is None:
         selection_policy = (

@@ -25,8 +25,8 @@ from repsim.cli import (
     METRICS_COLUMNS,
     main,
     read_metrics_csv,
-    summary_stats,
 )
+from repsim.engine import aggregate_metrics
 from repsim.scenarios import build_scenario, get_scenario, list_scenarios, make_config
 
 
@@ -75,14 +75,6 @@ class TestCatalog:
     def test_unknown_scenario_error_lists_names(self):
         with pytest.raises(KeyError, match="S1"):
             get_scenario("S9")
-
-    def test_aspiration_jitter(self):
-        cfg = build_scenario("S4", aspiration_jitter=0.1)
-        aspirations = [w.aspiration for w in cfg.workers]
-        assert all(0.0 <= a <= 0.2 for a in aspirations)
-        assert len(set(aspirations)) > 1
-        assert validate_config(cfg) == []
-        assert build_scenario("S4", aspiration_jitter=0.1) == cfg
 
 
 class TestListCommand:
@@ -147,9 +139,9 @@ class TestRunCommand:
         batch = run_batch(cfg)
         parsed = read_metrics_csv(tmp_path / "metrics.csv")
         assert tuple(parsed) == batch.runs
-        stats = summary_stats(parsed)
-        assert stats == summary_stats(batch.runs)
-        assert stats["audits_to_convergence"]["median"] == 10.0
+        agg = aggregate_metrics(parsed)
+        assert agg == aggregate_metrics(batch.runs)
+        assert agg.metrics["audits_to_convergence"].median == 10.0
         # the printed table carries the same medians as the emitted file
         out = capsys.readouterr().out
         assert "audits_to_convergence" in out and "10" in out
@@ -174,6 +166,13 @@ class TestRunCommand:
         path = tmp_path / "bad.json"
         path.write_text('{"mechanism": {"pool_size_N": 9}}')
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_deeply_nested_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "deep.json" in err and "nested too deeply" in err
 
     def test_unreadable_config_path_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
@@ -203,6 +202,8 @@ class TestRunCommand:
         ("mechanism.select_n=4.9", "invalid mechanism field select_n"),
         ("mechanism.tolerance_tau=abc", "invalid mechanism field tolerance_tau"),
         ("num_instantiations=true", "invalid config field num_instantiations"),
+        pytest.param("mechanism.tolerance_tau=" + "[" * 5_000,
+                     "'mechanism.tolerance_tau' is nested too deeply", id="deeply-nested-value"),
     ])
     def test_wrong_shaped_or_non_finite_override_exits_2(
         self, tmp_path, capsys, assignment, message

@@ -1,4 +1,8 @@
+from dataclasses import astuple
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repsim import (
     ReplyValue,
@@ -11,6 +15,7 @@ from repsim import (
     run_batch,
     run_single,
 )
+from repsim.engine import METRICS, RunMetrics, aggregate_metrics
 from repsim.scenarios import build_scenario, list_scenarios, make_config
 
 
@@ -147,6 +152,46 @@ class TestRunBatch:
         assert batch.aggregate.converged_count == 0
         assert batch.aggregate.metrics == {}
         assert all(m.incorrect_after_convergence == 0 for m in batch.runs)
+
+
+RUN_METRICS = st.builds(
+    RunMetrics,
+    seed=st.integers(0, 2**32),
+    convergence_round=st.none() | st.integers(1, 10**6),
+    audits_to_convergence=st.integers(0, 10**6),
+    incorrect_before_convergence=st.integers(0, 10**6),
+    incorrect_after_convergence=st.integers(0, 10**3),
+    empty_rounds_after_convergence=st.integers(0, 10**3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RUN_METRICS, max_size=50))
+@example([])
+@example([RunMetrics(1, None, 3, 2, 0, 0), RunMetrics(2, None, 0, 0, 0, 0)])
+@example([RunMetrics(7, 12, 10, 1, 0, 2)])
+def test_aggregate_metrics_matches_per_column_reference(runs):
+    # every field, bit for bit, against numpy on each metric column of the converged runs
+    agg = aggregate_metrics(runs)
+    converged = [m for m in runs if m.convergence_round is not None]
+    assert agg.converged_count == len(converged)
+    assert agg.not_converged_count == len(runs) - len(converged)
+    assert agg.violated_count == sum(
+        m.convergence_round is None
+        or m.incorrect_after_convergence > 0
+        or m.empty_rounds_after_convergence > 0
+        for m in runs
+    )
+    if not converged:
+        assert agg.metrics == {}
+        return
+    assert list(agg.metrics) == [name for name, _ in METRICS]
+    for name, attr in METRICS:
+        col = np.array([getattr(m, attr) for m in converged], dtype=float)
+        reference = (col.min(), col.max(), col.mean(), np.median(col), col.std(),
+                     np.percentile(col, 25), np.percentile(col, 75))
+        summary = astuple(agg.metrics[name])
+        assert [float(v).hex() for v in summary] == [float(v).hex() for v in reference], name
 
 
 class TestTheoremChecks:

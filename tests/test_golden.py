@@ -31,7 +31,12 @@ from repsim.scenarios import build_scenario, make_config
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 DEMOS = Path(__file__).parent.parent / "demos"
-PINNED_DEMOS = ("01_reputation_types.py", "05_frozen_selection_pitfall.py")
+PINNED_DEMOS = (
+    "01_reputation_types.py",
+    "02_audit_convergence.py",
+    "03_pool_size_sweep.py",
+    "05_frozen_selection_pitfall.py",
+)
 
 RECORD_PRESETS = ("S2", "S3", "S5", "p5-r5m4", "p99-r1m8")
 PRESETS = ("S1", "S2", "S3", "S4", "S5", "S6", "p5-r5m4", "p9-r4m5", "p99-r1m8")
