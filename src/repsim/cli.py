@@ -1,6 +1,6 @@
 """Command-line front end: scenario catalog, batch execution, and
-machine-readable result emission (per-run metrics plus optional per-round
-traces)."""
+machine-readable result emission (per-run metrics, plus per-round traces
+streamed while the batch plays)."""
 
 from __future__ import annotations
 
@@ -15,10 +15,8 @@ from .engine import (
     FORMATS,
     METRICS,
     BatchResult,
-    RoundRecord,
     RunMetrics,
     TraceTarget,
-    TraceWriter,
     aggregate_metrics,
     run_batch,
 )
@@ -35,7 +33,6 @@ from .scenarios import get_scenario, list_scenarios
 __all__ = [
     "emit_results",
     "write_metrics",
-    "write_trace",
     "read_metrics_csv",
     "format_summary",
     "main",
@@ -91,29 +88,13 @@ def read_metrics_csv(path: Path) -> list[RunMetrics]:
         ]
 
 
-def write_trace(records: Sequence[RoundRecord], path: Path, fmt: str = "csv") -> None:
-    """Per-round trail of one run: one row per round, in the format
-    ``repsim run --trace`` streams (``engine.trace_row``).
-
-    ``audit_prob`` is the probability the round was played with (before any
-    update). Worker columns repeat per selected slot in worker-id order.
-    """
-    with TraceWriter(path, fmt) as writer:
-        for rec in records:
-            writer.write(rec.round_index, rec.audit_prob_before, rec.outcome, rec.snapshots)
-
-
 def emit_results(batch: BatchResult, out_dir: Path, fmt: str = "csv") -> Path:
-    """Write per-run metrics (and traces, if the batch kept records) under
-    ``out_dir``; returns the metrics file path."""
+    """Write the per-run metrics file under ``out_dir`` and return its path;
+    traces are written while the batch plays (``run_batch(trace=...)``)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / f"metrics.{fmt}"
     write_metrics(batch.runs, metrics_path, fmt=fmt)
-    if batch.records is not None:
-        target = TraceTarget(out_dir, fmt)
-        for seed, records in zip(batch.seeds, batch.records):
-            write_trace(records, target.path(seed), fmt=fmt)
     return metrics_path
 
 

@@ -1,5 +1,5 @@
-"""Multi-round runs, convergence detection, batch aggregation, and the
-long-run correctness property checks."""
+"""Multi-round runs with their round records and trace files, convergence
+detection, batch aggregation, and the long-run correctness property checks."""
 
 from __future__ import annotations
 
@@ -7,11 +7,11 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .master import RoundOutcome, RunState, play
+from .master import RunState, play
 from .model import (
     BufferedStream,
     ReplyValue,
@@ -24,6 +24,7 @@ from .model import (
 )
 
 __all__ = [
+    "RoundOutcome",
     "WorkerSnapshot",
     "RoundRecord",
     "TraceTarget",
@@ -54,6 +55,24 @@ TRACE_COLUMNS = ("round_index", "audit_prob", "audited", "accepted_value", "num_
 FORMATS = ("csv", "jsonl")  # of metrics and trace files
 
 
+class RoundOutcome(NamedTuple):
+    """Everything observable about one completed round.
+
+    ``payoffs`` holds only delivered payoffs: selected workers that did not
+    reply receive nothing and perform no learning update. On audited rounds
+    the accepted value is always CORRECT (the master computed the task
+    itself); an unaudited round with no replies accepts nothing (``None``).
+    """
+
+    selected: tuple[int, ...]
+    responders: tuple[int, ...]
+    audited: bool
+    cheaters_caught: tuple[int, ...]
+    accepted_value: ReplyValue | None
+    payoffs: dict[int, float]
+    audit_prob_after: float
+
+
 class WorkerSnapshot(NamedTuple):
     """State of one selected worker as of the end of a round; the fields are
     the per-worker trace columns."""
@@ -65,8 +84,10 @@ class WorkerSnapshot(NamedTuple):
     rho_tr: float
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
+    """One played round, as observers see it, kept trails hold it and trace
+    rows render it; ``audit_prob_before`` is the probability it was played with."""
+
     round_index: int
     outcome: RoundOutcome
     snapshots: tuple[WorkerSnapshot, ...]
@@ -77,10 +98,9 @@ class RoundRecord:
         return self.outcome.audit_prob_after
 
 
-# Observer of a run, called after each round with the round index, the audit
-# probability the round was played with, the outcome and the selected workers'
-# snapshots; ``TraceWriter.write`` is one.
-RoundObserver = Callable[[int, float, RoundOutcome, Sequence[WorkerSnapshot]], None]
+# Observer of a run, called after each round with its record;
+# ``TraceWriter.write`` is one.
+RoundObserver = Callable[[RoundRecord], None]
 
 
 def trace_header(slots: int) -> str:
@@ -91,14 +111,9 @@ def trace_header(slots: int) -> str:
     return ",".join(columns) + "\n"
 
 
-def trace_row(
-    fmt: str,
-    round_index: int,
-    audit_prob: float,
-    outcome: RoundOutcome,
-    workers: Iterable[WorkerSnapshot],
-) -> str:
-    """One trace line: the round's columns, then each selected worker's
+def trace_row(fmt: str, record: RoundRecord) -> str:
+    """One trace line: the round's columns (``audit_prob`` is the
+    probability the round was played with), then each selected worker's
     ``WorkerSnapshot`` columns.
 
     The bytes are those of ``json.dumps`` on the row as a dict (workers as a
@@ -106,6 +121,7 @@ def trace_row(
     row: numbers by ``repr``, booleans as true/false, no accepted value as
     NONE. The numbers are finite, and type names need no quoting.
     """
+    round_index, outcome, workers, audit_prob = record
     accepted = outcome.accepted_value
     value = "NONE" if accepted is None else accepted.value
     audited = "true" if outcome.audited else "false"
@@ -141,17 +157,11 @@ class TraceWriter:
         self._fh = open(path, "w", newline="")
         self._header_due = fmt == "csv"
 
-    def write(
-        self,
-        round_index: int,
-        audit_prob: float,
-        outcome: RoundOutcome,
-        workers: Sequence[WorkerSnapshot],
-    ) -> None:
+    def write(self, record: RoundRecord) -> None:
         if self._header_due:
-            self._fh.write(trace_header(len(workers)))
+            self._fh.write(trace_header(len(record.snapshots)))
             self._header_due = False
-        self._fh.write(trace_row(self.fmt, round_index, audit_prob, outcome, workers))
+        self._fh.write(trace_row(self.fmt, record))
 
     def close(self) -> None:
         if self._header_due:
@@ -292,10 +302,11 @@ def run_single(
                                state.truth[i])
                 for i in selected
             )
+            record = RoundRecord(r, outcome, snapshots, audit_prob_before)
             if observer is not None:
-                observer(r, audit_prob_before, outcome, snapshots)
+                observer(record)
             if keep_records:
-                records.append(RoundRecord(r, outcome, snapshots, audit_prob_before))
+                records.append(record)
 
         if convergence_round is None:
             if audited:

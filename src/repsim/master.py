@@ -5,7 +5,7 @@ the rational workers' learning."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,31 +25,12 @@ if TYPE_CHECKING:  # touching np.random at run time would import numpy.random (5
 
 __all__ = [
     "RunState",
-    "RoundOutcome",
     "Round",
     "select_top_n",
     "accept_by_weighted_majority",
     "update_audit_prob",
     "play",
 ]
-
-
-class RoundOutcome(NamedTuple):
-    """Everything observable about one completed round.
-
-    ``payoffs`` holds only delivered payoffs: selected workers that did not
-    reply receive nothing and perform no learning update. On audited rounds
-    the accepted value is always CORRECT (the master computed the task
-    itself); an unaudited round with no replies accepts nothing (``None``).
-    """
-
-    selected: tuple[int, ...]
-    responders: tuple[int, ...]
-    audited: bool
-    cheaters_caught: tuple[int, ...]
-    accepted_value: ReplyValue | None
-    payoffs: dict[int, float]
-    audit_prob_after: float
 
 
 class RunState:

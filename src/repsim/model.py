@@ -408,9 +408,15 @@ def save_config(config: ScenarioConfig, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    text = Path(path).read_text()
+    """Read a config file; raises ValueError naming the file when it cannot be
+    decoded or parsed, and as ``config_from_dict`` does."""
+    name = f"config file {str(path)!r}"
     try:
-        d = json.loads(text)
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{name} cannot be decoded: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{name} is not valid JSON: {exc}") from None
     except RecursionError:
-        raise ValueError(f"config file {str(path)!r} is nested too deeply") from None
+        raise ValueError(f"{name} is nested too deeply") from None
     return config_from_dict(d)

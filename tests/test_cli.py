@@ -174,6 +174,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "deep.json" in err and "nested too deeply" in err
 
+    @pytest.mark.parametrize("name, content, message", [
+        ("bad.json", b"{", "is not valid JSON: Expecting property name"),
+        ("bom.json", b"\xff\xfe", "cannot be decoded: 'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_malformed_config_file_exits_2_naming_it(self, tmp_path, capsys, name, content,
+                                                     message):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and message in err
+        assert "Traceback" not in err
+
     def test_unreadable_config_path_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
         assert "cannot read config file" in capsys.readouterr().err

@@ -57,9 +57,7 @@ class TestRunSingle:
         cfg = build_scenario(preset, reputation_type=reputation, post_convergence_horizon=50)
         records, with_records = run_single(cfg, 5)
         seen = []
-        observed_kept, observed = run_single(
-            cfg, 5, keep_records=False, observer=lambda *row: seen.append(row)
-        )
+        observed_kept, observed = run_single(cfg, 5, keep_records=False, observer=seen.append)
         none_kept, without = run_single(cfg, 5, keep_records=False)
         assert none_kept == observed_kept == []
         assert with_records == without == observed
@@ -68,15 +66,10 @@ class TestRunSingle:
     def test_observer_sees_each_round_as_recorded(self):
         cfg = build_scenario("S5", reputation_type="boinc", post_convergence_horizon=50)
         seen = []
-        none_kept, metrics = run_single(
-            cfg, 9, keep_records=False, observer=lambda *row: seen.append(row)
-        )
+        none_kept, metrics = run_single(cfg, 9, keep_records=False, observer=seen.append)
         records, same = run_single(cfg, 9)
         assert none_kept == [] and metrics == same
-        assert seen == [
-            (rec.round_index, rec.audit_prob_before, rec.outcome, rec.snapshots)
-            for rec in records
-        ]
+        assert seen == records
 
     def test_round_stream_invariants(self):
         cfg = build_scenario("S6", post_convergence_horizon=100)

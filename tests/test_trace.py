@@ -1,6 +1,6 @@
-"""Per-round traces: one formatter for the streamed and the record-backed
-path, byte-identical across ``--parallel``, and memory that does not grow
-with the number of rounds traced."""
+"""Per-round traces: one row formatter over the round records, streamed
+files that render a run's kept records, byte-identical across ``--parallel``,
+and memory that does not grow with the number of rounds traced."""
 
 import csv
 import io
@@ -15,8 +15,15 @@ from hypothesis import example, given, strategies as st
 import repsim
 from repsim import ReplyValue, SelectionPolicy, WorkerType, run_batch, save_config
 from repsim.cli import emit_results, main
-from repsim.engine import TRACE_COLUMNS, WorkerSnapshot, trace_header, trace_row
-from repsim.master import RoundOutcome
+from repsim.engine import (
+    TRACE_COLUMNS,
+    RoundOutcome,
+    RoundRecord,
+    TraceTarget,
+    WorkerSnapshot,
+    trace_header,
+    trace_row,
+)
 from repsim.scenarios import build_scenario, make_config
 
 UNIT = st.floats(0.0, 1.0, allow_subnormal=True)
@@ -69,9 +76,11 @@ def test_trace_row_matches_json_and_csv_writer(
         audited=audited, cheaters_caught=(), accepted_value=accepted, payoffs={},
         audit_prob_after=audit_prob,
     )
+    record = RoundRecord(round_index, outcome, tuple(WorkerSnapshot(*w) for w in workers),
+                         audit_prob)
     jsonl, csv_row, header = reference_lines(round_index, audit_prob, outcome, workers)
-    assert trace_row("jsonl", round_index, audit_prob, outcome, workers) == jsonl
-    assert trace_row("csv", round_index, audit_prob, outcome, workers) == csv_row
+    assert trace_row("jsonl", record) == jsonl
+    assert trace_row("csv", record) == csv_row
     assert trace_header(len(workers)) == header
 
 
@@ -93,17 +102,30 @@ def test_parallel_traces_match_serial(tmp_path):
         assert serial == trace_files(tmp_path / f"pool_{fmt}")
 
 
-def test_emitted_records_match_streamed_traces(tmp_path):
+def test_streamed_traces_render_kept_records(tmp_path):
     config = build_scenario("S5", reputation_type="boinc", num_instantiations=3,
                             post_convergence_horizon=40, base_seed=11)
     for fmt in ("csv", "jsonl"):
-        streamed, emitted = tmp_path / f"streamed_{fmt}", tmp_path / f"emitted_{fmt}"
-        assert run(streamed, "S5", "--reputation", "boinc", "--runs", "3", "--horizon", "40",
-                   "--seed", "11", "--trace", "--format", fmt) == 0
-        emit_results(run_batch(config, keep_records=True), emitted, fmt=fmt)
-        assert len(trace_files(streamed)) == 3
-        assert trace_files(streamed) == trace_files(emitted)
-        assert (streamed / f"metrics.{fmt}").read_bytes() == (emitted / f"metrics.{fmt}").read_bytes()
+        batches = {}
+        for parallel in (1, 2):  # 2: records pickled back from real pool processes
+            out = tmp_path / f"{fmt}_parallel{parallel}"
+            batch = run_batch(config, parallel=parallel, keep_records=True,
+                              trace=TraceTarget(out, fmt))
+            assert len(trace_files(out)) == 3
+            for seed, records in zip(batch.seeds, batch.records):
+                header = trace_header(len(records[0].snapshots)) if fmt == "csv" else ""
+                expected = header + "".join(trace_row(fmt, rec) for rec in records)
+                assert (out / f"trace_seed{seed}.{fmt}").read_text() == expected
+            batches[parallel] = batch
+        assert batches[1].records == batches[2].records
+        assert isinstance(batches[2].records[0][0], RoundRecord)
+
+        emitted, cli_out = tmp_path / f"emitted_{fmt}", tmp_path / f"cli_{fmt}"
+        metrics_path = emit_results(batches[1], emitted, fmt=fmt)
+        assert sorted(p.name for p in emitted.iterdir()) == [f"metrics.{fmt}"]
+        assert run(cli_out, "S5", "--reputation", "boinc", "--runs", "3", "--horizon", "40",
+                   "--seed", "11", "--format", fmt) == 0
+        assert metrics_path.read_bytes() == (cli_out / f"metrics.{fmt}").read_bytes()
 
 
 # Spawns the command and prints its exit code and peak RSS (KiB on Linux).
