@@ -252,11 +252,21 @@ class BatchResult:
     records: tuple[tuple[RoundRecord, ...], ...] | None = None
 
 
+_accepted: ScenarioConfig | None = None  # the config object last found valid
+
+
 def _require_valid(config: ScenarioConfig) -> None:
+    """Raise ValueError if the config has errors. Configs are frozen, so the
+    object last accepted is not checked again: a batch's runs skip the check
+    ``run_batch`` has just made (pool workers unpickle a new object per run)."""
+    global _accepted
+    if config is _accepted:
+        return
     errors = config_errors(validate_config(config))
     if errors:
         detail = "; ".join(f"{d.field}: {d.message}" for d in errors)
         raise ValueError(f"invalid scenario config: {detail}")
+    _accepted = config
 
 
 def run_single(
@@ -290,19 +300,23 @@ def run_single(
     empty_after = 0
 
     audit_prob = state.audit_prob
+    # The records are built with ``tuple.__new__``, as ``NamedTuple._make``
+    # does: the classes' generated Python-level ``__new__`` costs about as
+    # much again.
+    new = tuple.__new__
+    cheat_prob, resp, truth = state.cheat_prob, state.resp, state.truth
     rounds = zip(range(1, config.max_rounds + 1), play(state, stream))
     for r, (audited, accepted, selected, responders, cheats, pays) in rounds:
         audit_prob_before, audit_prob = audit_prob, state.audit_prob
         if recording:
             caught = tuple(i for i, c in zip(responders, cheats) if c) if audited else ()
-            outcome = RoundOutcome(tuple(selected), tuple(responders), audited, caught,
-                                   accepted, dict(zip(responders, pays)), audit_prob)
-            snapshots = tuple(
-                WorkerSnapshot(i, type_names[i], state.cheat_prob[i], state.resp[i],
-                               state.truth[i])
+            outcome = new(RoundOutcome, (tuple(selected), tuple(responders), audited, caught,
+                                         accepted, dict(zip(responders, pays)), audit_prob))
+            snapshots = tuple([
+                new(WorkerSnapshot, (i, type_names[i], cheat_prob[i], resp[i], truth[i]))
                 for i in selected
-            )
-            record = RoundRecord(r, outcome, snapshots, audit_prob_before)
+            ])
+            record = new(RoundRecord, (r, outcome, snapshots, audit_prob_before))
             if observer is not None:
                 observer(record)
             if keep_records:

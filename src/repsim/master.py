@@ -5,6 +5,7 @@ the rational workers' learning."""
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -44,8 +45,10 @@ class RunState:
     (audited replies found correct) and ``streak`` (honest audits since the
     last catch). ``cheat_prob`` moves only for rational workers. ``resp``
     and ``truth`` hold the two reputation factors evaluated on the current
-    counters, and the numpy array ``rank_key`` holds ``-(resp * truth)``,
-    which selection sorts ascending; whoever changes a factor updates the key.
+    counters, and ``rank_key`` holds ``-(resp * truth)``, which selection
+    sorts ascending; whoever changes a factor updates the key. It is a numpy
+    array under REPUTATION selection and a list under FIXED_RANDOM, where
+    nothing sorts it and a list is cheaper to write.
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
@@ -75,19 +78,23 @@ class RunState:
         self.rank_key = np.full(n_pool, -(resp * truth))
         self.fixed_selection: tuple[int, ...] | None = None
         if params.selection_policy is SelectionPolicy.FIXED_RANDOM:
+            self.rank_key = self.rank_key.tolist()
             picks = rng.choice(n_pool, size=params.select_n, replace=False)
             self.fixed_selection = tuple(sorted(int(i) for i in picks))
 
 
-def select_top_n(rank_key: Sequence[float], n: int, rng: Stream) -> list[int]:
+def select_top_n(rank_key: np.ndarray, n: int, rng: Stream) -> tuple[list[int], float]:
     """The ``n`` indices with the lowest rank key (the negated reputation),
-    ties broken uniformly at random.
+    ties broken uniformly at random, and the lowest key left out.
 
     Implemented as a sort by (rank key asc, fresh random key asc), so a
-    fully tied pool yields a uniform random n-subset. Returns ascending ids.
+    fully tied pool yields a uniform random n-subset. Returns ascending ids;
+    ``n`` must be below the pool size.
     """
     keys = rng.random(len(rank_key))
-    return sorted(np.lexsort((keys, rank_key))[:n].tolist())
+    ids = np.lexsort((keys, rank_key))[: n + 1].tolist()
+    bar = rank_key.item(ids.pop())
+    return sorted(ids), bar
 
 
 def accept_by_weighted_majority(
@@ -151,10 +158,11 @@ def update_audit_prob(
 
 
 # What ``play`` yields after each round: whether it was audited, the accepted
-# value (None when nobody replied), the selected ids (ascending), the
-# responders (ascending), whether each responder cheated, and the payoff
-# delivered to each responder. Selected workers that did not reply receive
-# nothing and perform no learning update.
+# value (None when nobody replied), the selected ids (ascending; later rounds
+# may yield the same object, so it must not be changed), the responders
+# (ascending), whether each responder cheated, and the payoff delivered to
+# each responder. Selected workers that did not reply receive nothing and
+# perform no learning update.
 Round = tuple[bool, ReplyValue | None, Sequence[int], list[int], list[bool], list[float]]
 
 
@@ -164,9 +172,10 @@ def play(state: RunState, rng: Stream) -> Iterator[Round]:
 
     The run's constants and columns are bound once. ``state.audit_prob`` is
     read when the first round starts and kept current from then on; the
-    column lists may be changed in place between rounds. A round's draws come from
-    ``rng`` in phase order: selection, replies, the audit decision, and the
-    vote's tie break.
+    column lists may be changed in place between rounds, but not
+    ``rank_key``, as a ranking is carried forward on the keys ``play`` wrote.
+    A round's draws come from ``rng`` in phase order: selection, replies, the
+    audit decision, and the vote's tie break.
     """
     params, payoffs = state.params, state.payoffs
     draw = rng.random
@@ -181,10 +190,25 @@ def play(state: RunState, rng: Stream) -> Iterator[Round]:
     resp, truth, rank_key = state.resp, state.truth, state.rank_key
     CORRECT, WRONG = ReplyValue.CORRECT, ReplyValue.WRONG
     audit_prob = state.audit_prob
+    # Under REPUTATION selection, ``selected`` is the set the last full
+    # ranking chose and ``bar`` the lowest key it left out; ``top`` is at
+    # least the set's highest key now (exact after the replies, raised by
+    # audits). Only selected workers' keys move, so while ``top < bar`` every
+    # key outside the set is still above every key in it, and a full ranking
+    # would choose the same set whatever its tie-break draws. The first round
+    # ranks, as ``top`` starts equal to ``bar``.
+    selected = fixed
+    bar = top = 0.0
+    pool_size = len(rank_key)
 
     while True:
-        # Selection: the fixed set, or the n most reputable workers.
-        selected = fixed if fixed is not None else select_top_n(rank_key, select_n, rng)
+        # Selection: the fixed set, or the n most reputable workers. A set
+        # carried forward takes the tie-break draws a full ranking would take.
+        if fixed is None:
+            if top < bar:
+                draw(pool_size)
+            else:
+                selected, bar = select_top_n(rank_key, select_n, rng)
 
         # Replies, in id order: each selected worker takes one
         # Bernoulli(availability) draw, which covers computing, replying and
@@ -195,6 +219,7 @@ def play(state: RunState, rng: Stream) -> Iterator[Round]:
         # replies are counted and responsiveness refreshed.
         responders: list[int] = []
         cheats: list[bool] = []
+        top = -inf
         for i in selected:
             selections[i] += 1
             if draw() < availability[i]:
@@ -202,7 +227,9 @@ def play(state: RunState, rng: Stream) -> Iterator[Round]:
                 responders.append(i)
                 cheats.append(draw() < cheat_prob[i] if rational[i] else cheat_prob[i] == 1.0)
             r = resp[i] = responsiveness(replies[i], selections[i])
-            rank_key[i] = -(r * truth[i])
+            k = rank_key[i] = -(r * truth[i])
+            if k > top:
+                top = k
 
         # Audit decision: one Bernoulli(audit_prob) draw.
         audited = draw() < audit_prob
@@ -221,7 +248,9 @@ def play(state: RunState, rng: Stream) -> Iterator[Round]:
                     honest[i] += 1
                     streak[i] += 1
                 t = truth[i] = truthfulness(rep_type, audits[i], honest[i], streak[i], epsilon)
-                rank_key[i] = -(resp[i] * t)
+                k = rank_key[i] = -(resp[i] * t)
+                if k > top:
+                    top = k
             accepted: ReplyValue | None = CORRECT
             pays = [fine if cheated else reward for cheated in cheats]
         elif responders:

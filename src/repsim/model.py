@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, get_args, get_origin, get_type_hints
@@ -304,14 +304,25 @@ class BufferedStream:
 # documented schema.
 
 
-def _json_fields(items: list[tuple[str, Any]]) -> dict[str, Any]:
-    return {k: v.value if isinstance(v, Enum) else v for k, v in items}
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The field names of a config dataclass; None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def _json_value(v: Any) -> Any:
+    """A config value as JSON data: a section as an object of its fields, a
+    tuple of sections as an array, an enum as its name."""
+    names = _field_names(type(v))
+    if names is not None:
+        return {name: _json_value(getattr(v, name)) for name in names}
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v.value if isinstance(v, Enum) else v
 
 
 def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
-    d = asdict(config, dict_factory=_json_fields)
-    d["workers"] = list(d["workers"])
-    return d
+    return _json_value(config)
 
 
 def _scalar(tp: type) -> Callable[[Any], Any]:
@@ -328,6 +339,8 @@ def _scalar(tp: type) -> Callable[[Any], Any]:
         return enum
 
     def number(v: Any) -> Any:
+        if type(v) is tp:
+            return v
         if isinstance(v, bool) or not isinstance(v, numbers.Real) or (
             tp is int and not isinstance(v, numbers.Integral) and not float(v).is_integer()
         ):

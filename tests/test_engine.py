@@ -15,6 +15,7 @@ from repsim import (
     run_batch,
     run_single,
 )
+from repsim import engine
 from repsim.engine import METRICS, RunMetrics, aggregate_metrics
 from repsim.scenarios import build_scenario, list_scenarios, make_config
 
@@ -133,6 +134,25 @@ class TestRunBatch:
         stats = batch.aggregate.metrics["audits_to_convergence"]
         assert stats.mean == 10.0
         assert stats.std == 0.0
+
+    def test_batch_validates_its_config_once(self, monkeypatch):
+        # the runs skip the check run_batch has just made; a new, equal
+        # config object and an invalid one are checked
+        calls = []
+        validate = engine.validate_config
+        monkeypatch.setattr(engine, "validate_config", lambda c: calls.append(c) or validate(c))
+        cfg = build_scenario("S1", num_instantiations=3, post_convergence_horizon=5)
+        run_batch(cfg)
+        assert calls == [cfg]
+        again = build_scenario("S1", num_instantiations=3, post_convergence_horizon=5)
+        run_single(again, 0, keep_records=False)
+        assert len(calls) == 2 and calls[1] is again
+        bad = make_config([(5, WorkerType.ALTRUISTIC, 1.0)], select_n=5,
+                          selection_policy=SelectionPolicy.REPUTATION)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="select_n"):
+                run_single(bad, 0)
+        assert len(calls) == 4
 
     def test_parallel_matches_sequential(self):
         cfg = build_scenario("S6", num_instantiations=6, post_convergence_horizon=30)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repsim import (
     MechanismParams,
@@ -18,7 +19,8 @@ from repsim.master import (
     select_top_n,
     update_audit_prob,
 )
-from repsim.model import make_stream
+from repsim.model import BufferedStream, make_stream
+from repsim.scenarios import build_scenario
 
 PAYOFFS = PayoffParams()
 COLUMNS = ("selections", "replies", "audits", "honest", "streak")
@@ -81,15 +83,17 @@ class TestSelection:
         counts = np.zeros(9)
         trials = 10_000
         for _ in range(trials):
-            for i in select_top_n(np.ones(9), 5, rng):
+            for i in select_top_n(np.ones(9), 5, rng)[0]:
                 counts[i] += 1
         freqs = counts / trials
         assert np.all(np.abs(freqs - 5 / 9) <= 0.02)
 
     def test_strict_argmax(self):
+        # the two lowest keys, and the lowest key left out
         rng = make_stream(12)
+        keys = np.array([-1.0, -1.0, -0.2, -0.1, -0.0])
         for _ in range(50):
-            assert select_top_n([-1.0, -1.0, -0.2, -0.1, -0.0], 2, rng) == [0, 1]
+            assert select_top_n(keys, 2, rng) == ([0, 1], -0.2)
 
     def test_fixed_random_returns_same_set_every_round(self):
         master = make_state(policy=SelectionPolicy.FIXED_RANDOM, seed=13)
@@ -104,6 +108,65 @@ class TestSelection:
         picked = one_round(master, make_stream(16))[2]
         assert len(picked) == 5 == len(set(picked))
         assert picked == sorted(picked)
+
+
+# Rank keys, ascending; -0.0 and 0.0 tie, as they do in the ranking's sort.
+RANK_LEVELS = (-1.0, -0.5, -0.0, 0.0, 0.5)
+
+
+@given(st.data())
+def test_set_strictly_below_the_rest_is_selected_whatever_the_stream(data):
+    # the premise of carrying a selection forward: n keys strictly below all
+    # others (compared as play compares them) are the ones a full ranking
+    # selects, whatever its tie-break draws, and the lowest other key is the bar
+    cut = data.draw(st.sampled_from(RANK_LEVELS[1:]))
+    pool_size = data.draw(st.integers(2, 12))
+    n = data.draw(st.integers(1, pool_size - 1))
+    chosen = sorted(data.draw(st.permutations(range(pool_size)))[:n])
+    below = st.sampled_from([k for k in RANK_LEVELS if k < cut])
+    rest = st.sampled_from([k for k in RANK_LEVELS if not k < cut])
+    keys = [data.draw(below if i in chosen else rest) for i in range(pool_size)]
+    bar = min(k for i, k in enumerate(keys) if i not in chosen)
+    rng = make_stream(data.draw(st.integers(0, 2**64 - 1)))
+    assert select_top_n(np.array(keys), n, rng) == (chosen, bar)
+
+
+class Tape:
+    """A stream that notes each call it serves as (method, argument)."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.calls = []
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self.stream.random(size)
+
+    def integers(self, high):
+        self.calls.append(("integers", high))
+        return self.stream.integers(high)
+
+
+@pytest.mark.parametrize("reputation", [t.value for t in ReputationType])
+@pytest.mark.parametrize("preset", ["S3", "S5", "p99-r1m8"])
+def test_selection_equals_a_full_ranking_every_round(preset, reputation):
+    # play carries a selection forward while it cannot change; a reference
+    # ranks before every round through select_top_n on an identical stream,
+    # then makes the rest of the round's draws as play made them
+    config = build_scenario(preset, reputation_type=reputation)
+    pool_size, n = config.mechanism.pool_size_N, config.mechanism.select_n
+    state = RunState(config, make_stream(3))
+    tape = Tape(BufferedStream(make_stream(3)))
+    reference = BufferedStream(make_stream(3))
+    rounds = play(state, tape)
+    for _ in range(400):
+        expected, _ = select_top_n(state.rank_key, n, reference)
+        tape.calls.clear()
+        assert list(next(rounds)[2]) == expected
+        assert tape.calls[0] == ("random", pool_size)  # the tie-break draws, taken or not
+        for method, arg in tape.calls[1:]:
+            getattr(reference, method)(arg)
+    assert tape.stream.random(8).tolist() == reference.random(8).tolist()
 
 
 class TestDecideAudit:

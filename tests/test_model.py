@@ -1,7 +1,9 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
+from enum import Enum
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repsim import (
     MechanismParams,
@@ -18,7 +20,7 @@ from repsim import (
     validate_config,
 )
 from repsim.model import make_stream
-from repsim.scenarios import build_scenario, make_config
+from repsim.scenarios import build_scenario, list_scenarios, make_config
 
 
 def workers_all(n, worker_type=WorkerType.ALTRUISTIC, availability=1.0):
@@ -125,6 +127,47 @@ def test_config_round_trip_identity():
     # and through an actual JSON file
     text = json.dumps(config_to_dict(config))
     assert config_from_dict(json.loads(text)) == config
+
+
+def asdict_reference(config):
+    """The config dict as ``dataclasses.asdict`` builds it, enums by name."""
+    d = asdict(config, dict_factory=lambda items: {
+        k: v.value if isinstance(v, Enum) else v for k, v in items
+    })
+    d["workers"] = list(d["workers"])
+    return d
+
+
+def test_config_to_dict_matches_asdict_on_presets():
+    for preset in list_scenarios():
+        for reputation in ReputationType:
+            config = build_scenario(preset.name, reputation_type=reputation)
+            assert repr(config_to_dict(config)) == repr(asdict_reference(config)), preset.name
+
+
+NUMBERS = st.integers(-3, 3) | st.floats()
+CONFIGS = st.builds(
+    ScenarioConfig,
+    workers=st.lists(st.builds(
+        WorkerSpec, worker_id=st.integers(-1, 9), worker_type=st.sampled_from(WorkerType),
+        availability=NUMBERS, aspiration=NUMBERS, initial_cheat_prob=NUMBERS,
+        learning_rate=st.none() | NUMBERS,
+    ), max_size=4).map(tuple),
+    payoffs=st.builds(PayoffParams, NUMBERS, NUMBERS, NUMBERS),
+    mechanism=st.builds(
+        MechanismParams, pool_size_N=st.integers(0, 9), select_n=st.integers(0, 9),
+        audit_prob_initial=NUMBERS, tolerance_tau=NUMBERS,
+        reputation_type=st.sampled_from(ReputationType),
+        selection_policy=st.sampled_from(SelectionPolicy),
+    ),
+    num_instantiations=st.integers(), max_rounds=st.integers(),
+    base_seed=st.integers(0, 2**64),
+)
+
+
+@given(CONFIGS)
+def test_config_to_dict_matches_asdict(config):
+    assert repr(config_to_dict(config)) == repr(asdict_reference(config))
 
 
 def test_config_file_round_trip(tmp_path):
