@@ -28,7 +28,6 @@ __all__ = [
     "WorkerSnapshot",
     "RoundRecord",
     "TraceTarget",
-    "TraceWriter",
     "RunMetrics",
     "MetricSummary",
     "AggregateStats",
@@ -98,8 +97,8 @@ class RoundRecord(NamedTuple):
         return self.outcome.audit_prob_after
 
 
-# Observer of a run, called after each round with its record;
-# ``TraceWriter.write`` is one.
+# Observer of a run, called after each round with its record; a traced
+# batch run's observer writes the record's ``trace_row`` to the run's file.
 RoundObserver = Callable[[RoundRecord], None]
 
 
@@ -141,38 +140,6 @@ def trace_row(fmt: str, record: RoundRecord) -> str:
         )
         + "]}\n"
     )
-
-
-class TraceWriter:
-    """One run's trace file, written a row at a time by ``write``, a
-    ``RoundObserver``. A CSV file's header names as many worker slots as the
-    first row carries; a trace without rows is a bare header (CSV) or empty
-    (JSON lines).
-    """
-
-    def __init__(self, path: Path, fmt: str = "csv"):
-        if fmt not in FORMATS:
-            raise ValueError(f"unknown format {fmt!r}")
-        self.fmt = fmt
-        self._fh = open(path, "w", newline="")
-        self._header_due = fmt == "csv"
-
-    def write(self, record: RoundRecord) -> None:
-        if self._header_due:
-            self._fh.write(trace_header(len(record.snapshots)))
-            self._header_due = False
-        self._fh.write(trace_row(self.fmt, record))
-
-    def close(self) -> None:
-        if self._header_due:
-            self._fh.write(trace_header(0))
-        self._fh.close()
-
-    def __enter__(self) -> TraceWriter:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class TraceTarget(NamedTuple):
@@ -355,8 +322,12 @@ def _batch_task(args: tuple[ScenarioConfig, int, bool, TraceTarget | None]):
     if trace is None:
         records, metrics = run_single(config, seed, keep_records)
     else:
-        with TraceWriter(trace.path(seed), trace.fmt) as writer:
-            records, metrics = run_single(config, seed, keep_records, writer.write)
+        fmt = trace.fmt
+        with open(trace.path(seed), "w", newline="") as fh:
+            if fmt == "csv":  # every round selects select_n workers
+                fh.write(trace_header(config.mechanism.select_n))
+            records, metrics = run_single(config, seed, keep_records,
+                                          lambda record: fh.write(trace_row(fmt, record)))
     return tuple(records), metrics
 
 
@@ -394,11 +365,14 @@ def run_batch(
     process may use. Results are gathered and aggregated in seed order, so
     the outcome does not depend on ``parallel``. With ``trace``, each run
     writes its trace file as its rounds are played (a pool worker writes its
-    own runs' files), so memory does not grow with the number of rounds; the
-    directory is created if missing.
+    own runs' files), so memory does not grow with the number of rounds; an
+    unknown ``trace.fmt`` raises ``ValueError`` before the directory, created
+    if missing, or any process is made.
     """
     _require_valid(config)
     if trace is not None:
+        if trace.fmt not in FORMATS:
+            raise ValueError(f"unknown format {trace.fmt!r}")
         Path(trace.directory).mkdir(parents=True, exist_ok=True)
     seeds = [config.seed_for(k) for k in range(config.num_instantiations)]
     tasks = [(config, seed, keep_records, trace) for seed in seeds]

@@ -1,5 +1,6 @@
-"""The declared exports: every name in an ``__all__`` exists, and the README's
-list of the package's stable surface is ``repsim.__all__``."""
+"""The declared exports: every name in an ``__all__`` exists, the README's
+list of the package's stable surface is ``repsim.__all__``, and every dotted
+``repsim.`` name the README cites resolves."""
 
 import importlib
 import pkgutil
@@ -27,3 +28,23 @@ def test_readme_lists_the_package_exports():
     start = text.index("`import repsim` exports the stable surface")
     bullets = text[start:].split("\n\n")[1]  # the list after the sentence
     assert sorted(re.findall(r"`(\w+)`", bullets)) == sorted(repsim.__all__)
+
+
+def resolve(dotted: str):
+    """The object a dotted name names: its longest importable module prefix,
+    then attributes; ``None`` if an attribute is missing."""
+    parts = dotted.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:k]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[k:]:
+            obj = getattr(obj, attr, None)
+        return obj
+
+
+def test_readme_dotted_names_resolve():
+    names = re.findall(r"`(repsim(?:\.\w+)+)`", README.read_text())
+    assert names
+    assert [name for name in names if resolve(name) is None] == []

@@ -1,6 +1,7 @@
 """Per-round traces: one row formatter over the round records, streamed
 files that render a run's kept records, byte-identical across ``--parallel``,
-and memory that does not grow with the number of rounds traced."""
+an unknown format rejected before anything is made, and memory that does not
+grow with the number of rounds traced."""
 
 import csv
 import io
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 import repsim
@@ -103,29 +105,50 @@ def test_parallel_traces_match_serial(tmp_path):
 
 
 def test_streamed_traces_render_kept_records(tmp_path):
-    config = build_scenario("S5", reputation_type="boinc", num_instantiations=3,
-                            post_convergence_horizon=40, base_seed=11)
-    for fmt in ("csv", "jsonl"):
-        batches = {}
-        for parallel in (1, 2):  # 2: records pickled back from real pool processes
-            out = tmp_path / f"{fmt}_parallel{parallel}"
-            batch = run_batch(config, parallel=parallel, keep_records=True,
-                              trace=TraceTarget(out, fmt))
-            assert len(trace_files(out)) == 3
-            for seed, records in zip(batch.seeds, batch.records):
-                header = trace_header(len(records[0].snapshots)) if fmt == "csv" else ""
-                expected = header + "".join(trace_row(fmt, rec) for rec in records)
-                assert (out / f"trace_seed{seed}.{fmt}").read_text() == expected
-            batches[parallel] = batch
-        assert batches[1].records == batches[2].records
-        assert isinstance(batches[2].records[0][0], RoundRecord)
+    s5 = build_scenario("S5", reputation_type="boinc", num_instantiations=3,
+                        post_convergence_horizon=40, base_seed=11)
+    # a frozen 5 of 9: Generator.choice leaves a pending 32-bit half, which
+    # BufferedStream takes over for the runs' first tie-break draw
+    frozen = make_config([(4, WorkerType.ALTRUISTIC, 0.8), (5, WorkerType.MALICIOUS, 0.8)],
+                         select_n=5, selection_policy=SelectionPolicy.FIXED_RANDOM,
+                         num_instantiations=3, max_rounds=300, post_convergence_horizon=40,
+                         base_seed=11)
+    save_config(frozen, tmp_path / "frozen.json")
+    cases = {
+        "S5": (s5, ["S5", "--reputation", "boinc", "--runs", "3", "--horizon", "40",
+                    "--seed", "11"]),
+        "frozen": (frozen, [str(tmp_path / "frozen.json")]),
+    }
+    for name, (config, cli_args) in cases.items():
+        select_n = config.mechanism.select_n
+        for fmt in ("csv", "jsonl"):
+            batches = {}
+            for parallel in (1, 2):  # 2: records pickled back from real pool processes
+                out = tmp_path / f"{name}_{fmt}_parallel{parallel}"
+                batch = run_batch(config, parallel=parallel, keep_records=True,
+                                  trace=TraceTarget(out, fmt))
+                assert len(trace_files(out)) == 3
+                for seed, records in zip(batch.seeds, batch.records):
+                    assert all(len(rec.snapshots) == select_n for rec in records)
+                    header = trace_header(select_n) if fmt == "csv" else ""
+                    expected = header + "".join(trace_row(fmt, rec) for rec in records)
+                    assert (out / f"trace_seed{seed}.{fmt}").read_text() == expected
+                batches[parallel] = batch
+            assert batches[1].records == batches[2].records
+            assert isinstance(batches[2].records[0][0], RoundRecord)
 
-        emitted, cli_out = tmp_path / f"emitted_{fmt}", tmp_path / f"cli_{fmt}"
-        metrics_path = emit_results(batches[1], emitted, fmt=fmt)
-        assert sorted(p.name for p in emitted.iterdir()) == [f"metrics.{fmt}"]
-        assert run(cli_out, "S5", "--reputation", "boinc", "--runs", "3", "--horizon", "40",
-                   "--seed", "11", "--format", fmt) == 0
-        assert metrics_path.read_bytes() == (cli_out / f"metrics.{fmt}").read_bytes()
+            emitted, cli_out = tmp_path / f"{name}_emitted_{fmt}", tmp_path / f"{name}_cli_{fmt}"
+            metrics_path = emit_results(batches[1], emitted, fmt=fmt)
+            assert sorted(p.name for p in emitted.iterdir()) == [f"metrics.{fmt}"]
+            assert run(cli_out, *cli_args, "--format", fmt) == 0
+            assert metrics_path.read_bytes() == (cli_out / f"metrics.{fmt}").read_bytes()
+
+
+def test_unknown_trace_format_is_rejected_before_anything_is_made(tmp_path):
+    config = build_scenario("S5", num_instantiations=2, post_convergence_horizon=40)
+    with pytest.raises(ValueError, match="unknown format"):
+        run_batch(config, parallel=2, trace=TraceTarget(tmp_path / "t", "xml"))
+    assert not (tmp_path / "t").exists()
 
 
 # Spawns the command and prints its exit code and peak RSS (KiB on Linux).
