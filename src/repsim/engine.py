@@ -3,17 +3,15 @@ detection, batch aggregation, and the long-run correctness property checks."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .master import RunState, play
 from .model import (
-    BufferedStream,
     ReplyValue,
     ReputationType,
     ScenarioConfig,
@@ -252,7 +250,6 @@ def run_single(
     _require_valid(config)
     rng = make_stream(seed)
     state = RunState(config, rng)
-    stream = BufferedStream(rng)  # after RunState, which may draw with Generator.choice
     type_names = [spec.worker_type.value for spec in state.specs]
     p_min = config.mechanism.audit_prob_min
     horizon = config.post_convergence_horizon
@@ -272,7 +269,7 @@ def run_single(
     # much again.
     new = tuple.__new__
     cheat_prob, resp, truth = state.cheat_prob, state.resp, state.truth
-    rounds = zip(range(1, config.max_rounds + 1), play(state, stream))
+    rounds = zip(range(1, config.max_rounds + 1), play(state, rng))
     for r, (audited, accepted, selected, responders, cheats, pays) in rounds:
         audit_prob_before, audit_prob = audit_prob, state.audit_prob
         if recording:
@@ -331,19 +328,60 @@ def _batch_task(args: tuple[ScenarioConfig, int, bool, TraceTarget | None]):
     return tuple(records), metrics
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Pairwise float sum: in order below 8 values, as eight interleaved
+    partial sums up to 128, and above that as the sum of two halves split at
+    a multiple of 8. The tests hold this blocking to the array library's
+    reductions, bit for bit."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[tail:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """The ``q`` quantile of ascending values, interpolated linearly between
+    the two nearest ranks, from the nearer end when the fraction is 0.5 or
+    more."""
+    position = (len(ordered) - 1) * q
+    if position >= len(ordered) - 1:
+        return ordered[-1]
+    below = int(position)
+    a, b = ordered[below], ordered[below + 1]
+    t, d = position - below, b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def aggregate_metrics(runs: Sequence[RunMetrics]) -> AggregateStats:
-    """Every statistic and count a batch reports, in one pass over a
-    (metric x converged run) table; no statistics when no run converged."""
+    """Every statistic and count a batch reports, from each metric's column
+    over the converged runs; no statistics when no run converged. Sums are
+    taken pairwise, so the mean and the population standard deviation repeat
+    bit for bit."""
     converged = [m for m in runs if not m.not_converged]
     stats = {}
-    if converged:
-        table = np.array([[getattr(m, attr) for m in converged] for _, attr in METRICS],
-                         dtype=float)
-        quantiles = np.percentile(table, (0, 25, 50, 75, 100), axis=1).T.tolist()
-        means, stds = table.mean(axis=1).tolist(), table.std(axis=1).tolist()
-        rows = zip(METRICS, quantiles, means, stds)
-        for (name, _), (lo, q25, median, q75, hi), mean, std in rows:
-            stats[name] = MetricSummary(lo, hi, mean, median, std, q25, q75)
+    for name, attr in METRICS if converged else ():
+        column = [float(getattr(m, attr)) for m in converged]
+        n = len(column)
+        mean = _pairwise_sum(column) / n
+        std = math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in column]) / n)
+        ordered = sorted(column)
+        lo, q25, median, q75, hi = (_quantile(ordered, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0))
+        stats[name] = MetricSummary(lo, hi, mean, median, std, q25, q75)
     return AggregateStats(
         metrics=stats,
         converged_count=len(converged),

@@ -5,10 +5,10 @@ the rational workers' learning."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from math import inf
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
-
-import numpy as np
+from random import Random
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .model import (
     ReplyValue,
@@ -19,14 +19,10 @@ from .model import (
 from .reputation import responsiveness, truthfulness
 from .worker import initial_cheat_prob, update_cheat_prob
 
-if TYPE_CHECKING:  # touching np.random at run time would import numpy.random (5.5 MB RSS)
-    from .model import BufferedStream
-
-    Stream = np.random.Generator | BufferedStream
-
 __all__ = [
     "RunState",
     "Round",
+    "partial_shuffle",
     "select_top_n",
     "accept_by_weighted_majority",
     "update_audit_prob",
@@ -46,12 +42,11 @@ class RunState:
     last catch). ``cheat_prob`` moves only for rational workers. ``resp``
     and ``truth`` hold the two reputation factors evaluated on the current
     counters, and ``rank_key`` holds ``-(resp * truth)``, which selection
-    sorts ascending; whoever changes a factor updates the key. It is a numpy
-    array under REPUTATION selection and a list under FIXED_RANDOM, where
-    nothing sorts it and a list is cheaper to write.
+    ranks ascending; whoever changes a factor updates the key. Under
+    FIXED_RANDOM selection the fixed set is sampled from ``rng`` here.
     """
 
-    def __init__(self, config: ScenarioConfig, rng: np.random.Generator):
+    def __init__(self, config: ScenarioConfig, rng: Random):
         params = config.mechanism
         self.params = params
         self.payoffs = config.payoffs
@@ -75,33 +70,80 @@ class RunState:
         truth = truthfulness(params.reputation_type, 0, 0, 0, params.exponential_base_epsilon)
         self.resp = [resp] * n_pool
         self.truth = [truth] * n_pool
-        self.rank_key = np.full(n_pool, -(resp * truth))
+        self.rank_key = [-(resp * truth)] * n_pool
         self.fixed_selection: tuple[int, ...] | None = None
         if params.selection_policy is SelectionPolicy.FIXED_RANDOM:
-            self.rank_key = self.rank_key.tolist()
-            picks = rng.choice(n_pool, size=params.select_n, replace=False)
-            self.fixed_selection = tuple(sorted(int(i) for i in picks))
+            ids = list(range(n_pool))
+            partial_shuffle(ids, params.select_n, rng.random)
+            self.fixed_selection = tuple(sorted(ids[: params.select_n]))
 
 
-def select_top_n(rank_key: np.ndarray, n: int, rng: Stream) -> tuple[list[int], float]:
-    """The ``n`` indices with the lowest rank key (the negated reputation),
-    ties broken uniformly at random, and the lowest key left out.
+def partial_shuffle(items: list, k: int, draw: Callable[[], float]) -> None:
+    """Move a uniform random ``k``-sample of ``items`` to its first ``k``
+    places, in random order, with one ``draw()`` per place: a partial
+    Fisher-Yates shuffle. Place j takes item ``j + int(draw() * (m - j))``
+    of ``m``, each with a probability within a factor ``1 +- m * 2**-53`` of
+    uniform, as ``draw()`` returns multiples of ``2**-53``."""
+    m = len(items)
+    for j in range(k):
+        r = j + int(draw() * (m - j))
+        items[j], items[r] = items[r], items[j]
 
-    Implemented as a sort by (rank key asc, fresh random key asc), so a
-    fully tied pool yields a uniform random n-subset. Returns ascending ids;
-    ``n`` must be below the pool size.
+
+def select_top_n(
+    rank_key: Sequence[float],
+    selected: Sequence[int],
+    out_keys: list[float],
+    out_ids: list[int],
+    n: int,
+    draw: Callable[[], float],
+) -> list[int]:
+    """The ``n`` workers with the lowest rank key (the negated reputation),
+    ties broken uniformly at random, as ascending ids.
+
+    The pool is split into ``selected`` (any number of ids, whose keys may
+    have moved) and the outsiders, whose keys have not: ``out_keys`` holds
+    those keys ascending and ``out_ids`` their ids in the same order. The
+    n lowest keys lie among ``selected`` and the first n outsiders, and the
+    n-th of them is the boundary key. Every worker below it is chosen; the
+    places left go to a sample of the tie group at the boundary (the
+    outsiders' run of that key, then its members in ``selected``), drawn
+    with ``partial_shuffle`` only when some of the group must stay out. The
+    outsider lists are updated in place to the workers left out.
     """
-    keys = rng.random(len(rank_key))
-    ids = np.lexsort((keys, rank_key))[: n + 1].tolist()
-    bar = rank_key.item(ids.pop())
-    return sorted(ids), bar
+    keys = [rank_key[i] for i in selected]
+    boundary = sorted(keys + out_keys[:n])[n - 1]
+    lo = bisect_left(out_keys, boundary)
+    hi = bisect_right(out_keys, boundary, lo)
+    chosen, group, dropped = out_ids[:lo], out_ids[lo:hi], []
+    for i, k in zip(selected, keys):
+        if k < boundary:
+            chosen.append(i)
+        elif k == boundary:
+            group.append(i)
+        else:
+            dropped.append(i)
+    need = n - len(chosen)
+    if need < len(group):
+        partial_shuffle(group, need, draw)
+    chosen += group[:need]
+    rest = group[need:]
+    out_ids[:hi] = rest
+    out_keys[:hi] = [rank_key[i] for i in rest]
+    for i in dropped:
+        k = rank_key[i]
+        j = bisect_right(out_keys, k)
+        out_keys.insert(j, k)
+        out_ids.insert(j, i)
+    chosen.sort()
+    return chosen
 
 
 def accept_by_weighted_majority(
     responders: Sequence[int],
     cheats: Sequence[bool],
     truth: Mapping[int, float] | Sequence[float],
-    rng: Stream,
+    rng: Random,
 ) -> bool:
     """Whether WRONG wins the weighted vote of an unaudited round.
 
@@ -109,8 +151,8 @@ def accept_by_weighted_majority(
     it replied WRONG, and ``truth`` maps an id to its truthfulness. The value
     whose senders' summed truthfulness is maximal wins; only truthfulness
     (not combined reputation) weighs the vote. A tie between two non-empty
-    groups, including the all-zero case, breaks uniformly at random with one
-    ``integers(2)`` draw. Without cheaters (or replies) CORRECT wins and
+    groups, including the all-zero case, breaks uniformly at random: WRONG
+    wins when one ``rng.random()`` draw is below 0.5. Without cheaters (or replies) CORRECT wins and
     nothing is drawn. The winning group, the workers to reward, are the
     responders whose cheat flag equals the result.
     """
@@ -125,7 +167,7 @@ def accept_by_weighted_majority(
         else:
             w_honest += truth[i]
     if w_honest == w_cheat:
-        return bool(rng.integers(2))
+        return rng.random() < 0.5
     return w_cheat > w_honest
 
 
@@ -166,16 +208,18 @@ def update_audit_prob(
 Round = tuple[bool, ReplyValue | None, Sequence[int], list[int], list[bool], list[float]]
 
 
-def play(state: RunState, rng: Stream) -> Iterator[Round]:
+def play(state: RunState, rng: Random) -> Iterator[Round]:
     """Play rounds forever, updating the state's columns in place and
     yielding each round's ``Round`` once it is complete.
 
     The run's constants and columns are bound once. ``state.audit_prob`` is
     read when the first round starts and kept current from then on; the
     column lists may be changed in place between rounds, but not
-    ``rank_key``, as a ranking is carried forward on the keys ``play`` wrote.
-    A round's draws come from ``rng`` in phase order: selection, replies, the
-    audit decision, and the vote's tie break.
+    ``rank_key``, as the ranking is kept up to date from the keys ``play``
+    wrote. Every draw is one ``rng.random()`` call, whose sequence Python
+    fixes for an integer seed. A round draws in phase order: the selection's
+    tie-group sample (only when a ranking leaves part of a tied group out),
+    replies, the audit decision, and the vote's tie break.
     """
     params, payoffs = state.params, state.payoffs
     draw = rng.random
@@ -190,25 +234,27 @@ def play(state: RunState, rng: Stream) -> Iterator[Round]:
     resp, truth, rank_key = state.resp, state.truth, state.rank_key
     CORRECT, WRONG = ReplyValue.CORRECT, ReplyValue.WRONG
     audit_prob = state.audit_prob
-    # Under REPUTATION selection, ``selected`` is the set the last full
-    # ranking chose and ``bar`` the lowest key it left out; ``top`` is at
-    # least the set's highest key now (exact after the replies, raised by
-    # audits). Only selected workers' keys move, so while ``top < bar`` every
-    # key outside the set is still above every key in it, and a full ranking
-    # would choose the same set whatever its tie-break draws. The first round
-    # ranks, as ``top`` starts equal to ``bar``.
+    # Under REPUTATION selection the workers outside ``selected`` are kept
+    # ranked in ``out_keys``/``out_ids``: only selected workers' keys move, so
+    # an outsider's key is the one it was ranked on. ``bar`` is the lowest
+    # outsider key, and ``top`` is at least the selected set's highest key
+    # (exact after the replies, raised by audits). While ``top < bar`` every
+    # outsider is above every selected worker, a ranking would choose the
+    # same set, and the set is carried forward without a draw. The first
+    # round ranks, as ``top`` starts equal to ``bar``.
     selected = fixed
+    if fixed is None:
+        out_ids = sorted(range(len(rank_key)), key=rank_key.__getitem__)
+        out_keys = [rank_key[i] for i in out_ids]
+        selected = ()
     bar = top = 0.0
-    pool_size = len(rank_key)
 
     while True:
-        # Selection: the fixed set, or the n most reputable workers. A set
-        # carried forward takes the tie-break draws a full ranking would take.
-        if fixed is None:
-            if top < bar:
-                draw(pool_size)
-            else:
-                selected, bar = select_top_n(rank_key, select_n, rng)
+        # Selection: the fixed set, the carried set, or the n most reputable
+        # workers.
+        if fixed is None and not top < bar:
+            selected = select_top_n(rank_key, selected, out_keys, out_ids, select_n, draw)
+            bar = out_keys[0]
 
         # Replies, in id order: each selected worker takes one
         # Bernoulli(availability) draw, which covers computing, replying and

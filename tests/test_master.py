@@ -16,10 +16,11 @@ from repsim.master import (
     RunState,
     accept_by_weighted_majority,
     play,
+    partial_shuffle,
     select_top_n,
     update_audit_prob,
 )
-from repsim.model import BufferedStream, make_stream
+from repsim.model import make_stream
 from repsim.scenarios import build_scenario
 
 PAYOFFS = PayoffParams()
@@ -76,24 +77,56 @@ def caught(audited, responders, cheats):
     return tuple(i for i, c in zip(responders, cheats) if c) if audited else ()
 
 
+def rank(keys, n, draw):
+    """A ranking from scratch, with every worker an outsider: the chosen ids
+    and the lowest key left out."""
+    out_ids = sorted(range(len(keys)), key=keys.__getitem__)
+    out_keys = [keys[i] for i in out_ids]
+    chosen = select_top_n(keys, (), out_keys, out_ids, n, draw)
+    return chosen, out_keys[0]
+
+
+class Counter:
+    """A ``draw`` that counts its calls."""
+
+    def __init__(self, seed):
+        self.random, self.calls = make_stream(seed).random, 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.random()
+
+
 class TestSelection:
     def test_equal_reputations_select_uniformly(self):
         # round 1: every worker tied at the initial reputation; frequency n/N +/- 2%
-        rng = make_stream(11)
+        draw = make_stream(11).random
         counts = np.zeros(9)
         trials = 10_000
         for _ in range(trials):
-            for i in select_top_n(np.ones(9), 5, rng)[0]:
+            for i in rank([-1.0] * 9, 5, draw)[0]:
                 counts[i] += 1
         freqs = counts / trials
         assert np.all(np.abs(freqs - 5 / 9) <= 0.02)
 
     def test_strict_argmax(self):
-        # the two lowest keys, and the lowest key left out
-        rng = make_stream(12)
-        keys = np.array([-1.0, -1.0, -0.2, -0.1, -0.0])
+        # the two lowest keys, and the lowest key left out, without a draw
+        draw = Counter(12)
+        keys = [-1.0, -1.0, -0.2, -0.1, -0.0]
         for _ in range(50):
-            assert select_top_n(keys, 2, rng) == ([0, 1], -0.2)
+            assert rank(keys, 2, draw) == ([0, 1], -0.2)
+        assert draw.calls == 0
+
+    def test_tie_group_is_sampled_with_one_draw_per_place(self):
+        # -0.0 and 0.0 tie: two places for a group of four
+        draw = Counter(13)
+        seen = set()
+        for _ in range(200):
+            chosen, bar = rank([-1.0, 0.0, -0.0, 0.5, 0.0, -0.0], 3, draw)
+            assert chosen[0] == 0 and set(chosen[1:]) <= {1, 2, 4, 5} and bar == 0.0
+            seen.add(tuple(chosen))
+        assert draw.calls == 400
+        assert len(seen) == 6  # every pair of the group
 
     def test_fixed_random_returns_same_set_every_round(self):
         master = make_state(policy=SelectionPolicy.FIXED_RANDOM, seed=13)
@@ -110,7 +143,30 @@ class TestSelection:
         assert picked == sorted(picked)
 
 
-# Rank keys, ascending; -0.0 and 0.0 tie, as they do in the ranking's sort.
+@given(m=st.integers(1, 200), data=st.data())
+def test_partial_shuffle_moves_a_sample_to_the_front(m, data):
+    k = data.draw(st.integers(0, m))
+    items = list(range(m))
+    partial_shuffle(items, k, make_stream(data.draw(st.integers(0, 2**64 - 1))).random)
+    assert sorted(items) == list(range(m))
+
+
+def test_partial_shuffle_is_uniform_over_ordered_samples():
+    # all 4 * 3 = 12 ordered pairs from 4 items, each 1/12: a chi-square
+    # test with 11 degrees of freedom at the 0.1 % level (critical 31.26)
+    draw = make_stream(5).random
+    trials = 24_000
+    counts = {}
+    for _ in range(trials):
+        items = [0, 1, 2, 3]
+        partial_shuffle(items, 2, draw)
+        counts[tuple(items[:2])] = counts.get(tuple(items[:2]), 0) + 1
+    assert len(counts) == 12
+    expected = trials / 12
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < 31.26
+
+
+# Rank keys, ascending; -0.0 and 0.0 tie, as they do in the ranking.
 RANK_LEVELS = (-1.0, -0.5, -0.0, 0.0, 0.5)
 
 
@@ -118,7 +174,7 @@ RANK_LEVELS = (-1.0, -0.5, -0.0, 0.0, 0.5)
 def test_set_strictly_below_the_rest_is_selected_whatever_the_stream(data):
     # the premise of carrying a selection forward: n keys strictly below all
     # others (compared as play compares them) are the ones a full ranking
-    # selects, whatever its tie-break draws, and the lowest other key is the bar
+    # selects, whatever its draws, and the lowest other key is the bar
     cut = data.draw(st.sampled_from(RANK_LEVELS[1:]))
     pool_size = data.draw(st.integers(2, 12))
     n = data.draw(st.integers(1, pool_size - 1))
@@ -127,46 +183,59 @@ def test_set_strictly_below_the_rest_is_selected_whatever_the_stream(data):
     rest = st.sampled_from([k for k in RANK_LEVELS if not k < cut])
     keys = [data.draw(below if i in chosen else rest) for i in range(pool_size)]
     bar = min(k for i, k in enumerate(keys) if i not in chosen)
-    rng = make_stream(data.draw(st.integers(0, 2**64 - 1)))
-    assert select_top_n(np.array(keys), n, rng) == (chosen, bar)
+    draw = make_stream(data.draw(st.integers(0, 2**64 - 1))).random
+    assert rank(keys, n, draw) == (chosen, bar)
 
 
-class Tape:
-    """A stream that notes each call it serves as (method, argument)."""
+def assert_is_a_full_ranking(keys, chosen, n):
+    """``chosen`` is a set a full ranking of ``keys`` could select: n ids,
+    every key below the n-th lowest, and the rest from the ties at it."""
+    boundary = sorted(keys)[n - 1]
+    assert len(chosen) == n == len(set(chosen))
+    assert {i for i, k in enumerate(keys) if k < boundary} <= set(chosen)
+    assert all(keys[i] <= boundary for i in chosen)
 
-    def __init__(self, stream):
-        self.stream = stream
-        self.calls = []
 
-    def random(self, size=None):
-        self.calls.append(("random", size))
-        return self.stream.random(size)
-
-    def integers(self, high):
-        self.calls.append(("integers", high))
-        return self.stream.integers(high)
+@given(st.data())
+def test_ranking_from_a_moved_selection_equals_a_full_ranking(data):
+    # the outsiders keep the keys they were ranked on; the selected set's
+    # keys move anywhere. The new set is a full ranking's, and the outsider
+    # lists are left ascending and holding exactly the workers left out.
+    pool_size = data.draw(st.integers(2, 12))
+    n = data.draw(st.integers(1, pool_size - 1))
+    keys = [data.draw(st.sampled_from(RANK_LEVELS)) for _ in range(pool_size)]
+    selected = sorted(data.draw(st.permutations(range(pool_size)))[:n])
+    out_ids = sorted((i for i in range(pool_size) if i not in selected), key=keys.__getitem__)
+    out_keys = [keys[i] for i in out_ids]
+    for i in selected:
+        keys[i] = data.draw(st.sampled_from(RANK_LEVELS))
+    draw = make_stream(data.draw(st.integers(0, 2**64 - 1))).random
+    chosen = select_top_n(keys, selected, out_keys, out_ids, n, draw)
+    assert chosen == sorted(chosen)
+    assert_is_a_full_ranking(keys, chosen, n)
+    assert sorted(out_ids + chosen) == list(range(pool_size))
+    assert out_keys == [keys[i] for i in out_ids] == sorted(out_keys)
 
 
 @pytest.mark.parametrize("reputation", [t.value for t in ReputationType])
 @pytest.mark.parametrize("preset", ["S3", "S5", "p99-r1m8"])
 def test_selection_equals_a_full_ranking_every_round(preset, reputation):
-    # play carries a selection forward while it cannot change; a reference
-    # ranks before every round through select_top_n on an identical stream,
-    # then makes the rest of the round's draws as play made them
+    # play carries a selection forward while it cannot change and keeps the
+    # outsiders ranked between rounds; every round's set is one a full
+    # ranking of the keys the round starts on could select, with the tie
+    # group at the boundary compared as a set
     config = build_scenario(preset, reputation_type=reputation)
-    pool_size, n = config.mechanism.pool_size_N, config.mechanism.select_n
+    n = config.mechanism.select_n
     state = RunState(config, make_stream(3))
-    tape = Tape(BufferedStream(make_stream(3)))
-    reference = BufferedStream(make_stream(3))
-    rounds = play(state, tape)
+    rounds = play(state, make_stream(3))
+    tied_rounds = 0
     for _ in range(400):
-        expected, _ = select_top_n(state.rank_key, n, reference)
-        tape.calls.clear()
-        assert list(next(rounds)[2]) == expected
-        assert tape.calls[0] == ("random", pool_size)  # the tie-break draws, taken or not
-        for method, arg in tape.calls[1:]:
-            getattr(reference, method)(arg)
-    assert tape.stream.random(8).tolist() == reference.random(8).tolist()
+        keys = list(state.rank_key)
+        chosen = list(next(rounds)[2])
+        assert_is_a_full_ranking(keys, chosen, n)
+        boundary = sorted(keys)[n - 1]
+        tied_rounds += sum(k == boundary for k in keys) > sum(keys[i] == boundary for i in chosen)
+    assert tied_rounds > 0  # the first round at least samples a tie group
 
 
 class TestDecideAudit:

@@ -107,8 +107,7 @@ def test_parallel_traces_match_serial(tmp_path):
 def test_streamed_traces_render_kept_records(tmp_path):
     s5 = build_scenario("S5", reputation_type="boinc", num_instantiations=3,
                         post_convergence_horizon=40, base_seed=11)
-    # a frozen 5 of 9: Generator.choice leaves a pending 32-bit half, which
-    # BufferedStream takes over for the runs' first tie-break draw
+    # a frozen 5 of 9, sampled from each run's stream before its first round
     frozen = make_config([(4, WorkerType.ALTRUISTIC, 0.8), (5, WorkerType.MALICIOUS, 0.8)],
                          select_n=5, selection_policy=SelectionPolicy.FIXED_RANDOM,
                          num_instantiations=3, max_rounds=300, post_convergence_horizon=40,
