@@ -7,6 +7,8 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -335,22 +337,13 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     reductions, bit for bit."""
     n = len(values)
     if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
+        return reduce(add, values, 0.0)
     if n <= 128:
-        r = list(values[:8])
         tail = n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                r[j] += values[i + j]
+        r = [reduce(add, values[j:tail:8]) for j in range(8)]
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in values[tail:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
+        return reduce(add, values[tail:], total)
+    half = n // 2 - n // 2 % 8
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
@@ -359,10 +352,8 @@ def _quantile(ordered: Sequence[float], q: float) -> float:
     the two nearest ranks, from the nearer end when the fraction is 0.5 or
     more."""
     position = (len(ordered) - 1) * q
-    if position >= len(ordered) - 1:
-        return ordered[-1]
     below = int(position)
-    a, b = ordered[below], ordered[below + 1]
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
     t, d = position - below, b - a
     return b - d * (1 - t) if t >= 0.5 else a + d * t
 
@@ -376,9 +367,8 @@ def aggregate_metrics(runs: Sequence[RunMetrics]) -> AggregateStats:
     stats = {}
     for name, attr in METRICS if converged else ():
         column = [float(getattr(m, attr)) for m in converged]
-        n = len(column)
-        mean = _pairwise_sum(column) / n
-        std = math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in column]) / n)
+        mean = _pairwise_sum(column) / len(column)
+        std = math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in column]) / len(column))
         ordered = sorted(column)
         lo, q25, median, q75, hi = (_quantile(ordered, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0))
         stats[name] = MetricSummary(lo, hi, mean, median, std, q25, q75)

@@ -101,40 +101,30 @@ def select_top_n(
     """The ``n`` workers with the lowest rank key (the negated reputation),
     ties broken uniformly at random, as ascending ids.
 
-    The pool is split into ``selected`` (any number of ids, whose keys may
-    have moved) and the outsiders, whose keys have not: ``out_keys`` holds
-    those keys ascending and ``out_ids`` their ids in the same order. The
-    n lowest keys lie among ``selected`` and the first n outsiders, and the
-    n-th of them is the boundary key. Every worker below it is chosen; the
-    places left go to a sample of the tie group at the boundary (the
-    outsiders' run of that key, then its members in ``selected``), drawn
-    with ``partial_shuffle`` only when some of the group must stay out. The
-    outsider lists are updated in place to the workers left out.
+    ``selected`` holds ids whose keys may have moved. The other workers'
+    keys have not, and ``out_keys`` and ``out_ids`` hold them ascending. The
+    boundary, the n-th lowest key, lies among ``selected`` and the first n
+    outsiders. Workers below it are chosen, and a ``partial_shuffle`` of the
+    tie group at it fills the places left, drawing only when some of the
+    group must stay out. The outsider lists are updated in place.
     """
     keys = [rank_key[i] for i in selected]
     boundary = sorted(keys + out_keys[:n])[n - 1]
     lo = bisect_left(out_keys, boundary)
     hi = bisect_right(out_keys, boundary, lo)
-    chosen, group, dropped = out_ids[:lo], out_ids[lo:hi], []
-    for i, k in zip(selected, keys):
-        if k < boundary:
-            chosen.append(i)
-        elif k == boundary:
-            group.append(i)
-        else:
-            dropped.append(i)
+    chosen = out_ids[:lo] + [i for i, k in zip(selected, keys) if k < boundary]
+    group = out_ids[lo:hi] + [i for i, k in zip(selected, keys) if k == boundary]
     need = n - len(chosen)
     if need < len(group):
         partial_shuffle(group, need, draw)
     chosen += group[:need]
-    rest = group[need:]
-    out_ids[:hi] = rest
-    out_keys[:hi] = [rank_key[i] for i in rest]
-    for i in dropped:
-        k = rank_key[i]
-        j = bisect_right(out_keys, k)
-        out_keys.insert(j, k)
-        out_ids.insert(j, i)
+    out_ids[:hi] = group[need:]
+    out_keys[:hi] = [boundary] * (len(group) - need)
+    for i, k in zip(selected, keys):
+        if k > boundary:
+            j = bisect_right(out_keys, k)
+            out_keys.insert(j, k)
+            out_ids.insert(j, i)
     chosen.sort()
     return chosen
 

@@ -227,11 +227,8 @@ def config_errors(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
 
 
 def make_stream(seed: int) -> random.Random:
-    """Seeded random stream: same seed, same draw sequence, bit for bit.
-
-    Draw only with ``random()``: Python fixes its sequence for an integer
-    seed (MT19937), but not that of ``sample``, ``choice`` or
-    ``getrandbits``-based methods."""
+    """Seeded random stream: same seed, same draw sequence, bit for bit. Draw
+    only with ``random()``, whose sequence Python fixes for an integer seed."""
     return random.Random(seed % (1 << 64))
 
 
