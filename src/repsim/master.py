@@ -102,30 +102,26 @@ def select_top_n(
     ties broken uniformly at random, as ascending ids.
 
     ``selected`` holds ids whose keys may have moved. The other workers'
-    keys have not, and ``out_keys`` and ``out_ids`` hold them ascending. The
-    boundary, the n-th lowest key, lies among ``selected`` and the first n
-    outsiders. Workers below it are chosen, and a ``partial_shuffle`` of the
-    tie group at it fills the places left, drawing only when some of the
-    group must stay out. The outsider lists are updated in place.
+    keys have not, and ``out_keys`` and ``out_ids`` hold them ascending.
+    The selected workers are merged into those lists by bisection; if the
+    run of keys equal to the n-th lowest extends past place n, a
+    ``partial_shuffle`` of that run decides which of it are among the first
+    n. The first n are taken out, and the lists keep the workers left out.
     """
-    keys = [rank_key[i] for i in selected]
-    boundary = sorted(keys + out_keys[:n])[n - 1]
-    lo = bisect_left(out_keys, boundary)
-    hi = bisect_right(out_keys, boundary, lo)
-    chosen = out_ids[:lo] + [i for i, k in zip(selected, keys) if k < boundary]
-    group = out_ids[lo:hi] + [i for i, k in zip(selected, keys) if k == boundary]
-    need = n - len(chosen)
-    if need < len(group):
-        partial_shuffle(group, need, draw)
-    chosen += group[:need]
-    out_ids[:hi] = group[need:]
-    out_keys[:hi] = [boundary] * (len(group) - need)
-    for i, k in zip(selected, keys):
-        if k > boundary:
-            j = bisect_right(out_keys, k)
-            out_keys.insert(j, k)
-            out_ids.insert(j, i)
-    chosen.sort()
+    for i in selected:
+        k = rank_key[i]
+        j = bisect_right(out_keys, k)
+        out_keys.insert(j, k)
+        out_ids.insert(j, i)
+    boundary = out_keys[n - 1]
+    hi = bisect_right(out_keys, boundary, n)
+    if hi > n:
+        lo = bisect_left(out_keys, boundary, 0, n)
+        run = out_ids[lo:hi]
+        partial_shuffle(run, n - lo, draw)
+        out_ids[lo:hi] = run
+    chosen = sorted(out_ids[:n])
+    del out_keys[:n], out_ids[:n]
     return chosen
 
 
