@@ -144,7 +144,7 @@ class TestSelection:
 
 
 @given(m=st.integers(1, 200), data=st.data())
-def test_partial_shuffle_moves_a_sample_to_the_front(m, data):
+def test_partial_shuffle_permutes_the_items(m, data):
     k = data.draw(st.integers(0, m))
     items = list(range(m))
     partial_shuffle(items, k, make_stream(data.draw(st.integers(0, 2**64 - 1))).random)
