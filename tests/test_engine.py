@@ -318,9 +318,10 @@ class TestTheorem2Witness:
     def test_s2_boinc_first_violating_seed_has_empty_rounds_after_convergence(self):
         # Theorem 2 case (b): with n or more partially available altruists, a
         # violation has positive probability. The witness is the first
-        # violating S2/BOINC seed. About 1 run in 600 violates (5 of 3 000
-        # seeds at horizon 500), so a search of 3 000 seeds misses every
-        # witness with probability about (1 - 1/600)**3000, near e**-5 (0.7 %).
+        # violating S2/BOINC seed. Between 1 run in 600 and 1 in 375 violates
+        # (5 and 8 of 3 000 seeds at horizon 500, measured on two random
+        # streams), so a search of 3 000 seeds misses every witness with
+        # probability at most about (1 - 1/600)**3000, near e**-5 (0.7 %).
         # On a witness the d=1 altruist (worker 0) drops out of the frozen top
         # n, and every post-convergence round in which all selected d=0.5
         # workers are away accepts nothing.
