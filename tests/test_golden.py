@@ -75,6 +75,12 @@ def _cases(tmp: Path) -> dict[str, list[str]]:
             "S3", "--reputation", "exponential", "--set", "mechanism.exponential_base_epsilon=0.3",
             "--format", fmt, *COMMON,
         ]
+    for preset, rep in (("S3", "linear"), ("S4", "exponential")):  # one long trace each
+        for fmt in FORMATS:
+            cases[f"{preset}/{rep}/long/{fmt}"] = [
+                preset, "--reputation", rep, "--format", fmt,
+                "--runs", "1", "--horizon", "2000", "--seed", "11", "--trace",
+            ]
     for name, path in _config_files(tmp).items():
         for fmt in FORMATS:
             cases[f"{name}/{fmt}"] = [str(path), "--format", fmt, "--trace"]
