@@ -98,7 +98,8 @@ class RoundRecord(NamedTuple):
 
 
 # Observer of a run, called after each round with its record; a traced
-# batch run's observer writes the record's ``trace_row`` to the run's file.
+# batch run's observer writes the record's row, from the run's ``trace_rows``
+# renderer, to the run's file.
 RoundObserver = Callable[[RoundRecord], None]
 
 
@@ -110,36 +111,66 @@ def trace_header(slots: int) -> str:
     return ",".join(columns) + "\n"
 
 
-def trace_row(fmt: str, record: RoundRecord) -> str:
-    """One trace line: the round's columns (``audit_prob`` is the
-    probability the round was played with), then each selected worker's
-    ``WorkerSnapshot`` columns.
+def trace_rows(fmt: str) -> Callable[[RoundRecord], str]:
+    """A renderer of one run's trace lines, called with each record in turn:
+    the round's columns (``audit_prob`` is the probability the round was
+    played with), then each selected worker's ``WorkerSnapshot`` columns.
 
     The bytes are those of ``json.dumps`` on the row as a dict (workers as a
     list of dicts), or of a ``csv.writer`` with LF line ends on the flattened
     row: numbers by ``repr``, booleans as true/false, no accepted value as
     NONE. The numbers are finite, and type names need no quoting.
+
+    Within a run only ``rho_rs`` is a new float in nearly every row, so the
+    renderer keeps, per worker id, the text before it (id, type,
+    ``cheat_prob``) and the text after it (``rho_tr``), and the last
+    ``audit_prob``'s text, each with the objects it was rendered from, and
+    renders a piece again only when a record holds a different object. A
+    cached text is the ``repr`` of the very object it is compared with (held,
+    so its identity is not reused), so every row has the bytes of rendering
+    each value afresh, ``-0.0`` included; the state is one entry per worker id.
     """
-    round_index, outcome, workers, audit_prob = record
-    accepted = outcome.accepted_value
-    value = "NONE" if accepted is None else accepted.value
-    audited = "true" if outcome.audited else "false"
-    replies = len(outcome.responders)
     if fmt == "csv":
+        head, tail = ",{},{},{!r},".format, ",{!r}".format
+    else:
+        head = '{{"id": {}, "type": "{}", "cheat_prob": {!r}, "rho_rs": '.format
+        tail = ', "rho_tr": {!r}}}'.format
+    heads: dict[int, tuple[str, float, str]] = {}  # id -> (type, cheat_prob, text)
+    tails: dict[int, tuple[float, str]] = {}  # id -> (rho_tr, text)
+    last_audit_prob, audit_text = None, repr(None)  # as every cached text: the object's repr
+
+    def render(record: RoundRecord) -> str:
+        nonlocal last_audit_prob, audit_text
+        round_index, outcome, workers, audit_prob = record
+        if audit_prob is not last_audit_prob:
+            last_audit_prob, audit_text = audit_prob, repr(audit_prob)
+        cells = []
+        for i, t, p, rs, tr in workers:
+            h = heads.get(i)
+            if h is None or h[0] is not t or h[1] is not p:
+                h = heads[i] = (t, p, head(i, t, p))
+            r = tails.get(i)
+            if r is None or r[0] is not tr:
+                r = tails[i] = (tr, tail(tr))
+            cells.append(h[2] + repr(rs) + r[1])
+        accepted = outcome.accepted_value
+        value = "NONE" if accepted is None else accepted.value
+        audited = "true" if outcome.audited else "false"
+        replies = len(outcome.responders)
+        if fmt == "csv":
+            return f"{round_index},{audit_text},{audited},{value},{replies}{''.join(cells)}\n"
         return (
-            f"{round_index},{audit_prob!r},{audited},{value},{replies}"
-            + "".join(f",{i},{t},{p!r},{rs!r},{tr!r}" for i, t, p, rs, tr in workers)
-            + "\n"
+            f'{{"round_index": {round_index}, "audit_prob": {audit_text}, "audited": {audited}, '
+            f'"accepted_value": "{value}", "num_replies": {replies}, "workers": ['
+            + ", ".join(cells) + "]}\n"
         )
-    return (
-        f'{{"round_index": {round_index}, "audit_prob": {audit_prob!r}, "audited": {audited}, '
-        f'"accepted_value": "{value}", "num_replies": {replies}, "workers": ['
-        + ", ".join(
-            f'{{"id": {i}, "type": "{t}", "cheat_prob": {p!r}, "rho_rs": {rs!r}, "rho_tr": {tr!r}}}'
-            for i, t, p, rs, tr in workers
-        )
-        + "]}\n"
-    )
+
+    return render
+
+
+def trace_row(fmt: str, record: RoundRecord) -> str:
+    """One trace line, as a fresh ``trace_rows`` renderer gives it."""
+    return trace_rows(fmt)(record)
 
 
 class TraceTarget(NamedTuple):
@@ -321,12 +352,12 @@ def _batch_task(args: tuple[ScenarioConfig, int, bool, TraceTarget | None]):
     if trace is None:
         records, metrics = run_single(config, seed, keep_records)
     else:
-        fmt = trace.fmt
+        render = trace_rows(trace.fmt)
         with open(trace.path(seed), "w", newline="") as fh:
-            if fmt == "csv":  # every round selects select_n workers
+            if trace.fmt == "csv":  # every round selects select_n workers
                 fh.write(trace_header(config.mechanism.select_n))
             records, metrics = run_single(config, seed, keep_records,
-                                          lambda record: fh.write(trace_row(fmt, record)))
+                                          lambda record: fh.write(render(record)))
     return tuple(records), metrics
 
 

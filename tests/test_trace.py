@@ -1,4 +1,4 @@
-"""Per-round traces: one row formatter over the round records, streamed
+"""Per-round traces: one row renderer over a run's round records, streamed
 files that render a run's kept records, byte-identical across ``--parallel``,
 an unknown format rejected before anything is made, and memory that does not
 grow with the number of rounds traced."""
@@ -25,6 +25,7 @@ from repsim.engine import (
     WorkerSnapshot,
     trace_header,
     trace_row,
+    trace_rows,
 )
 from repsim.scenarios import build_scenario, make_config
 
@@ -34,6 +35,10 @@ WORKERS = st.lists(
               UNIT, UNIT, UNIT),
     max_size=6,
 )
+# Floats as distinct objects with equal values, both zeros among them: a
+# renderer must tell neither two equal objects nor 0.0 and -0.0 apart wrongly.
+POOL = [float(text) for text in ("0.0", "-0.0", "0.0", "-0.0", "0.5", "0.5", "1e-16", "1.0")]
+TYPES = [t.value for t in WorkerType] + ["".join(t.value) for t in WorkerType]
 
 
 def reference_lines(round_index, audit_prob, outcome, workers):
@@ -60,6 +65,16 @@ def reference_lines(round_index, audit_prob, outcome, workers):
     return json.dumps(row) + "\n", row_line, header_line
 
 
+def record_of(round_index, audit_prob, audited, accepted, replies, workers):
+    outcome = RoundOutcome(
+        selected=tuple(w[0] for w in workers), responders=tuple(range(replies)),
+        audited=audited, cheaters_caught=(), accepted_value=accepted, payoffs={},
+        audit_prob_after=audit_prob,
+    )
+    return outcome, RoundRecord(round_index, outcome, tuple(WorkerSnapshot(*w) for w in workers),
+                                audit_prob)
+
+
 @given(
     round_index=st.integers(1, 10**9),
     audit_prob=UNIT,
@@ -73,17 +88,40 @@ def reference_lines(round_index, audit_prob, outcome, workers):
 def test_trace_row_matches_json_and_csv_writer(
     round_index, audit_prob, audited, accepted, replies, workers
 ):
-    outcome = RoundOutcome(
-        selected=tuple(w[0] for w in workers), responders=tuple(range(replies)),
-        audited=audited, cheaters_caught=(), accepted_value=accepted, payoffs={},
-        audit_prob_after=audit_prob,
-    )
-    record = RoundRecord(round_index, outcome, tuple(WorkerSnapshot(*w) for w in workers),
-                         audit_prob)
+    outcome, record = record_of(round_index, audit_prob, audited, accepted, replies, workers)
     jsonl, csv_row, header = reference_lines(round_index, audit_prob, outcome, workers)
     assert trace_row("jsonl", record) == jsonl
     assert trace_row("csv", record) == csv_row
     assert trace_header(len(workers)) == header
+
+
+@given(
+    ids=st.lists(st.integers(0, 10**6), min_size=4, max_size=4, unique=True),
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(POOL),
+            st.lists(
+                st.tuples(st.integers(0, 3), st.sampled_from(TYPES), *[st.sampled_from(POOL)] * 3),
+                max_size=4, unique_by=lambda w: w[0],
+            ),
+        ),
+        max_size=12,
+    ),
+)
+@example(ids=[7, 8, 9, 10], rows=[(0.5, [(0, "RATIONAL", -0.0, 0.5, 1.0)]),
+                                  (0.5, [(0, "RATIONAL", 0.0, 0.5, 1.0)]),
+                                  (0.5, [(0, "RATIONAL", -0.0, 0.5, 1.0)])])
+def test_one_renderer_matches_json_and_csv_writer_across_rows(ids, rows):
+    # one renderer per format over the whole sequence, as a traced run has;
+    # each row's workers are some of a fixed set, in any order
+    render = {fmt: trace_rows(fmt) for fmt in ("csv", "jsonl")}
+    for round_index, (audit_prob, slots) in enumerate(rows, 1):
+        workers = [(ids[k], *values) for k, *values in slots]
+        outcome, record = record_of(round_index, audit_prob, round_index % 2 == 0, None,
+                                    len(workers), workers)
+        jsonl, csv_row, _ = reference_lines(round_index, audit_prob, outcome, workers)
+        assert render["jsonl"](record) == jsonl
+        assert render["csv"](record) == csv_row
 
 
 def run(out, *args):
@@ -113,8 +151,14 @@ def test_streamed_traces_render_kept_records(tmp_path):
                          num_instantiations=3, max_rounds=300, post_convergence_horizon=40,
                          base_seed=11)
     save_config(frozen, tmp_path / "frozen.json")
+    # all rational: learning moves cheat_prob and audits move rho_tr, so a
+    # renderer's cached pieces go stale as the run plays
+    s4 = build_scenario("S4", reputation_type="exponential", num_instantiations=3,
+                        post_convergence_horizon=40, base_seed=11)
     cases = {
         "S5": (s5, ["S5", "--reputation", "boinc", "--runs", "3", "--horizon", "40",
+                    "--seed", "11"]),
+        "S4": (s4, ["S4", "--reputation", "exponential", "--runs", "3", "--horizon", "40",
                     "--seed", "11"]),
         "frozen": (frozen, [str(tmp_path / "frozen.json")]),
     }
