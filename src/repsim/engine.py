@@ -7,8 +7,6 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import add
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -129,12 +127,15 @@ def trace_rows(fmt: str) -> Callable[[RoundRecord], str]:
     cached text is the ``repr`` of the very object it is compared with (held,
     so its identity is not reused), so every row has the bytes of rendering
     each value afresh, ``-0.0`` included; the state is one entry per worker id.
+    A format other than those in ``FORMATS`` raises ``ValueError`` here.
     """
     if fmt == "csv":
         head, tail = ",{},{},{!r},".format, ",{!r}".format
-    else:
+    elif fmt == "jsonl":
         head = '{{"id": {}, "type": "{}", "cheat_prob": {!r}, "rho_rs": '.format
         tail = ', "rho_tr": {!r}}}'.format
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
     heads: dict[int, tuple[str, float, str]] = {}  # id -> (type, cheat_prob, text)
     tails: dict[int, tuple[float, str]] = {}  # id -> (rho_tr, text)
     last_audit_prob, audit_text = None, repr(None)  # as every cached text: the object's repr
@@ -361,52 +362,29 @@ def _batch_task(args: tuple[ScenarioConfig, int, bool, TraceTarget | None]):
     return tuple(records), metrics
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """Pairwise float sum: in order below 8 values, as eight interleaved
-    partial sums up to 128, and above that as the sum of two halves split at
-    a multiple of 8. The tests hold this blocking to the array library's
-    reductions, bit for bit."""
-    n = len(values)
-    if n < 8:
-        return reduce(add, values, 0.0)
-    if n <= 128:
-        tail = n - n % 8
-        r = [reduce(add, values[j:tail:8]) for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[tail:], total)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
-def _quantile(ordered: Sequence[float], q: float) -> float:
-    """The ``q`` quantile of ascending values, interpolated linearly between
-    the two nearest ranks, from the nearer end when the fraction is 0.5 or
-    more."""
-    position = (len(ordered) - 1) * q
-    below = int(position)
-    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
-    t, d = position - below, b - a
-    return b - d * (1 - t) if t >= 0.5 else a + d * t
-
-
 def aggregate_metrics(runs: Sequence[RunMetrics]) -> AggregateStats:
     """Every statistic and count a batch reports, from each metric's column
-    over the converged runs; no statistics when no run converged. Sums are
-    taken pairwise, so the mean and the population standard deviation repeat
-    bit for bit."""
+    over the converged runs; no statistics when no run converged. The columns
+    are integer counts, so their sums are exact and each statistic is one
+    rounding of an exact value: the mean, the population variance under the
+    standard deviation's square root, and the quartiles, which interpolate
+    linearly between the two nearest ranks."""
     converged = [m for m in runs if not m.not_converged]
+    n = len(converged)
     stats = {}
     for name, attr in METRICS if converged else ():
-        column = [float(getattr(m, attr)) for m in converged]
-        mean = _pairwise_sum(column) / len(column)
-        std = math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in column]) / len(column))
-        ordered = sorted(column)
-        lo, q25, median, q75, hi = (_quantile(ordered, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0))
-        stats[name] = MetricSummary(lo, hi, mean, median, std, q25, q75)
+        column = sorted(getattr(m, attr) for m in converged)
+        s1, s2 = sum(column), sum(v * v for v in column)
+        lo, q25, median, q75, hi = (
+            (column[i] * (4 - f) + column[min(i + 1, n - 1)] * f) / 4
+            for i, f in (divmod((n - 1) * k, 4) for k in range(5))
+        )
+        std = math.sqrt((n * s2 - s1 * s1) / (n * n))
+        stats[name] = MetricSummary(lo, hi, s1 / n, median, std, q25, q75)
     return AggregateStats(
         metrics=stats,
-        converged_count=len(converged),
-        not_converged_count=len(runs) - len(converged),
+        converged_count=n,
+        not_converged_count=len(runs) - n,
         violated_count=sum(1 for m in runs if m.eventual_correctness_violated),
     )
 

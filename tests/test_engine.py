@@ -1,4 +1,6 @@
+import math
 import random
+import statistics
 from dataclasses import astuple
 
 import numpy as np
@@ -187,18 +189,25 @@ def seeded_runs(count, seed):
             for k in range(count)]
 
 
-# Above 128 values the reference's pairwise sum splits in halves, recursively.
+# The seeded examples pass 128 values, above which numpy sums in recursive
+# halves: the exact sums must still give its mean bit for bit.
 @settings(max_examples=300, deadline=None)
 @given(st.lists(RUN_METRICS, max_size=50))
 @example([])
 @example([RunMetrics(1, None, 3, 2, 0, 0), RunMetrics(2, None, 0, 0, 0, 0)])
 @example([RunMetrics(7, 12, 10, 1, 0, 2)])
+# convergence rounds 1, 1, 14: numpy's two-pass std is 0x1.88356445f2b74p+2,
+# the correctly rounded one 0x1.88356445f2b73p+2
+@example([RunMetrics(1, 1, 0, 0, 0, 0), RunMetrics(2, 1, 0, 0, 0, 0),
+          RunMetrics(3, 14, 0, 0, 0, 0)])
 @example(seeded_runs(129, 1))
 @example(seeded_runs(300, 2))
 @example(seeded_runs(1_100, 3))
 @example(seeded_runs(9_000, 4))
 def test_aggregate_metrics_matches_per_column_reference(runs):
-    # every field, bit for bit, against numpy on each metric column of the converged runs
+    # every field, bit for bit, on each metric column of the converged runs:
+    # against numpy, and the standard deviation against the square root of
+    # the stdlib's exact (rational) population variance
     agg = aggregate_metrics(runs)
     converged = [m for m in runs if m.convergence_round is not None]
     assert agg.converged_count == len(converged)
@@ -214,8 +223,10 @@ def test_aggregate_metrics_matches_per_column_reference(runs):
         return
     assert list(agg.metrics) == [name for name, _ in METRICS]
     for name, attr in METRICS:
-        col = np.array([getattr(m, attr) for m in converged], dtype=float)
-        reference = (col.min(), col.max(), col.mean(), np.median(col), col.std(),
+        column = [getattr(m, attr) for m in converged]
+        col = np.array(column, dtype=float)
+        reference = (col.min(), col.max(), col.mean(), np.median(col),
+                     math.sqrt(statistics.pvariance(column)),
                      np.percentile(col, 25), np.percentile(col, 75))
         summary = astuple(agg.metrics[name])
         assert [float(v).hex() for v in summary] == [float(v).hex() for v in reference], name

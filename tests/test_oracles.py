@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from equivalence import kolmogorov_sf
-from repsim import run_batch
+from repsim import run_batch, run_single
 from repsim.scenarios import build_scenario
 
 SEEDS = 2000
@@ -72,3 +72,52 @@ def test_s1_batch_under_exponential_equals_linear(pa_init):
     )
     assert exponential.runs == linear.runs
     assert exponential.records == linear.records
+
+
+def binomial_cdf(n, p, upto):
+    """P(X <= k) for k = 0 .. upto, X ~ Binomial(n, p), each term from math.comb."""
+    cdf, total = [], 0.0
+    for k in range(upto + 1):
+        total += math.exp(math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p))
+        cdf.append(total)
+    return cdf
+
+
+@pytest.mark.parametrize("preset", ["S1", "S3"])
+def test_post_convergence_audits_follow_their_exact_law(preset):
+    """After convergence on a Theorem-1 preset under LINEAR, every round is
+    played at ``audit_prob_min`` (asserted: an audit that caught a truthful
+    enough cheater would lift it), and each round's audit is a fresh
+    Bernoulli(audit_prob_min) draw, so the audited count of the N = 20 x 2000
+    post-convergence rounds is exactly Binomial(N, 0.01).
+
+    Two-sided, equal-tailed exact test at level ALPHA: with the binomial CDF
+    from math.comb, the count must lie in [336, 467], whose tails hold
+    0.00044 and 0.00046. Its power against an audit rate of 0.0125 (a floor
+    25 % high) is 0.929, asserted below.
+    """
+    runs, horizon = 20, 2000
+    config = build_scenario(preset, reputation_type="linear", num_instantiations=runs,
+                            post_convergence_horizon=horizon)
+    p_min = config.mechanism.audit_prob_min
+    n = runs * horizon
+    upto = round(2 * n * p_min)  # far past both tails
+    null = binomial_cdf(n, p_min, upto)
+    lo = next(k for k, c in enumerate(null) if c > ALPHA / 2)  # reject below lo
+    hi = next(k for k, c in enumerate(null) if 1 - c <= ALPHA / 2)  # reject above hi
+    assert (lo, hi) == (336, 467)
+    assert null[lo - 1] + 1 - null[hi] <= ALPHA
+    alternative = binomial_cdf(n, 0.0125, upto)
+    assert alternative[lo - 1] + 1 - alternative[hi] > 0.92
+
+    after = []  # (audit probability played with, audited) of each post-convergence round
+    for k in range(runs):
+        rounds = []
+        _, metrics = run_single(config, config.seed_for(k), keep_records=False,
+                                observer=lambda record: rounds.append(
+                                    (record.audit_prob_before, record.outcome.audited)))
+        after += rounds[metrics.convergence_round:]
+    assert len(after) == n
+    assert all(audit_prob == p_min for audit_prob, _ in after)
+    audited = sum(audited for _, audited in after)
+    assert lo <= audited <= hi, audited

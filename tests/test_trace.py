@@ -1,12 +1,13 @@
 """Per-round traces: one row renderer over a run's round records, streamed
 files that render a run's kept records, byte-identical across ``--parallel``,
-an unknown format rejected before anything is made, and memory that does not
-grow with the number of rounds traced."""
+an unknown format rejected by the renderer and before a batch makes anything,
+and memory that does not grow with the number of rounds traced."""
 
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -192,6 +193,15 @@ def test_unknown_trace_format_is_rejected_before_anything_is_made(tmp_path):
     with pytest.raises(ValueError, match="unknown format"):
         run_batch(config, parallel=2, trace=TraceTarget(tmp_path / "t", "xml"))
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("fmt", ["xml", "CSV", "json", ""])
+def test_unknown_format_is_rejected_when_a_renderer_is_built(fmt):
+    _, record = record_of(1, 0.5, False, None, 0, [])
+    with pytest.raises(ValueError, match=re.escape(f"unknown format {fmt!r}")):
+        trace_rows(fmt)
+    with pytest.raises(ValueError, match=re.escape(f"unknown format {fmt!r}")):
+        trace_row(fmt, record)
 
 
 # Spawns the command and prints its exit code and peak RSS (KiB on Linux).
