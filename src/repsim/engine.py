@@ -7,6 +7,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -169,11 +170,6 @@ def trace_rows(fmt: str) -> Callable[[RoundRecord], str]:
     return render
 
 
-def trace_row(fmt: str, record: RoundRecord) -> str:
-    """One trace line, as a fresh ``trace_rows`` renderer gives it."""
-    return trace_rows(fmt)(record)
-
-
 class TraceTarget(NamedTuple):
     """Where a batch streams its traces: ``directory/trace_seed<seed>.<fmt>``."""
 
@@ -251,21 +247,12 @@ class BatchResult:
     records: tuple[tuple[RoundRecord, ...], ...] | None = None
 
 
-_accepted: ScenarioConfig | None = None  # the config object last found valid
-
-
 def _require_valid(config: ScenarioConfig) -> None:
-    """Raise ValueError if the config has errors. Configs are frozen, so the
-    object last accepted is not checked again: a batch's runs skip the check
-    ``run_batch`` has just made (pool workers unpickle a new object per run)."""
-    global _accepted
-    if config is _accepted:
-        return
+    """Raise ValueError if the config has errors."""
     errors = config_errors(validate_config(config))
     if errors:
         detail = "; ".join(f"{d.field}: {d.message}" for d in errors)
         raise ValueError(f"invalid scenario config: {detail}")
-    _accepted = config
 
 
 def run_single(
@@ -279,9 +266,16 @@ def run_single(
 
     With ``keep_records=False`` the trail is skipped and an empty list is
     returned; the metrics are identical either way. ``observer``, if given,
-    sees every round as it is played (see ``RoundObserver``).
+    sees every round as it is played (see ``RoundObserver``). An invalid
+    config raises ``ValueError``.
     """
     _require_valid(config)
+    return _run(config, seed, keep_records, observer)
+
+
+def _run(config: ScenarioConfig, seed: int, keep_records: bool,
+         observer: RoundObserver | None) -> tuple[list[RoundRecord], RunMetrics]:
+    """``run_single`` on a config the caller has already validated."""
     rng = make_stream(seed)
     state = RunState(config, rng)
     type_names = [spec.worker_type.value for spec in state.specs]
@@ -346,19 +340,19 @@ def run_single(
     return records, metrics
 
 
-def _batch_task(args: tuple[ScenarioConfig, int, bool, TraceTarget | None]):
-    """One run of a batch, in-process or in a pool worker; a traced run
-    streams its rows to its own file as it plays."""
-    config, seed, keep_records, trace = args
+def _batch_task(config: ScenarioConfig, keep_records: bool, trace: TraceTarget | None,
+                seed: int):
+    """One run of a batch on its validated config, in-process or in a pool
+    worker; a traced run streams its rows to its own file as it plays."""
     if trace is None:
-        records, metrics = run_single(config, seed, keep_records)
+        records, metrics = _run(config, seed, keep_records, None)
     else:
         render = trace_rows(trace.fmt)
         with open(trace.path(seed), "w", newline="") as fh:
             if trace.fmt == "csv":  # every round selects select_n workers
                 fh.write(trace_header(config.mechanism.select_n))
-            records, metrics = run_single(config, seed, keep_records,
-                                          lambda record: fh.write(render(record)))
+            records, metrics = _run(config, seed, keep_records,
+                                    lambda record: fh.write(render(record)))
     return tuple(records), metrics
 
 
@@ -402,9 +396,10 @@ def run_batch(
     process may use. Results are gathered and aggregated in seed order, so
     the outcome does not depend on ``parallel``. With ``trace``, each run
     writes its trace file as its rounds are played (a pool worker writes its
-    own runs' files), so memory does not grow with the number of rounds; an
-    unknown ``trace.fmt`` raises ``ValueError`` before the directory, created
-    if missing, or any process is made.
+    own runs' files), so memory does not grow with the number of rounds. The
+    config is validated once for all runs: an invalid one, or an unknown
+    ``trace.fmt``, raises ``ValueError`` before the directory, created if
+    missing, or any process is made.
     """
     _require_valid(config)
     if trace is not None:
@@ -412,21 +407,23 @@ def run_batch(
             raise ValueError(f"unknown format {trace.fmt!r}")
         Path(trace.directory).mkdir(parents=True, exist_ok=True)
     seeds = [config.seed_for(k) for k in range(config.num_instantiations)]
-    tasks = [(config, seed, keep_records, trace) for seed in seeds]
+    task = partial(_batch_task, config, keep_records, trace)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # platforms that cannot tell which CPUs this process may use
         cpus = os.cpu_count() or 1
-    workers = min(parallel, len(tasks), cpus)
+    workers = min(parallel, len(seeds), cpus)
     if workers > 1:
         # imported here, as only a pool needs it (about 0.03 s of start-up)
         from concurrent.futures.process import ProcessPoolExecutor
 
-        # under fork, the executor starts all max_workers processes at once
+        # under fork, the executor starts all max_workers processes at once;
+        # a chunk of seeds is one work item (one pickled config), 8 per worker
+        chunksize = math.ceil(len(seeds) / (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_task, tasks))
+            results = list(pool.map(task, seeds, chunksize=chunksize))
     else:
-        results = [_batch_task(t) for t in tasks]
+        results = list(map(task, seeds))
     runs = [metrics for _, metrics in results]
     return BatchResult(
         seeds=tuple(seeds),

@@ -101,7 +101,7 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
+        def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)

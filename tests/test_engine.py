@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import statistics
 from dataclasses import astuple
@@ -139,23 +140,32 @@ class TestRunBatch:
         assert stats.std == 0.0
 
     def test_batch_validates_its_config_once(self, monkeypatch):
-        # the runs skip the check run_batch has just made; a new, equal
-        # config object and an invalid one are checked
-        calls = []
+        # run_batch checks its config once, in this process: pool processes
+        # forked from it inherit the wrapper, which raises there. run_single
+        # checks on every call, the same object twice in a row included.
+        calls, pid = [], os.getpid()
         validate = engine.validate_config
-        monkeypatch.setattr(engine, "validate_config", lambda c: calls.append(c) or validate(c))
+
+        def counted(config):
+            assert os.getpid() == pid, "a pool process validated the config"
+            calls.append(config)
+            return validate(config)
+
+        monkeypatch.setattr(engine, "validate_config", counted)
         cfg = build_scenario("S1", num_instantiations=3, post_convergence_horizon=5)
-        run_batch(cfg)
-        assert calls == [cfg]
-        again = build_scenario("S1", num_instantiations=3, post_convergence_horizon=5)
-        run_single(again, 0, keep_records=False)
-        assert len(calls) == 2 and calls[1] is again
+        for parallel in (1, 2):
+            calls.clear()
+            run_batch(cfg, parallel=parallel)
+            assert calls == [cfg]
+        for _ in range(2):
+            run_single(cfg, 0, keep_records=False)
+        assert calls == [cfg] * 3
         bad = make_config([(5, WorkerType.ALTRUISTIC, 1.0)], select_n=5,
                           selection_policy=SelectionPolicy.REPUTATION)
         for _ in range(2):
             with pytest.raises(ValueError, match="select_n"):
                 run_single(bad, 0)
-        assert len(calls) == 4
+        assert len(calls) == 5
 
     def test_parallel_matches_sequential(self):
         cfg = build_scenario("S6", num_instantiations=6, post_convergence_horizon=30)

@@ -349,8 +349,16 @@ class TestUpdateAuditProb:
         assert update_audit_prob(master, [0, 1], []) == 0.01
 
     def test_zero_aggregate_truthfulness_escalates(self):
-        master = make_state(reputation=ReputationType.BOINC, audit_prob=0.95)
-        assert update_audit_prob(master, [0, 1, 2], []) == 1.0
+        # by a full alpha_m = 0.1: fresh BOINC counters give every responder
+        # zero truthfulness, and no responders sum to zero as well; from 0.95
+        # a full step and a half step would both clamp to 1
+        for reputation, responders, before, after in [
+            (ReputationType.BOINC, [0, 1, 2], 0.95, 1.0),
+            (ReputationType.BOINC, [0, 1, 2], 0.5, 0.6),
+            (ReputationType.LINEAR, [], 0.5, 0.6),
+        ]:
+            master = make_state(reputation=reputation, audit_prob=before)
+            assert update_audit_prob(master, responders, []) == after, (reputation, responders)
 
     def test_never_exceeds_one(self):
         master = make_state(audit_prob=1.0)

@@ -1,7 +1,8 @@
 """Per-round traces: one row renderer over a run's round records, streamed
 files that render a run's kept records, byte-identical across ``--parallel``,
 an unknown format rejected by the renderer and before a batch makes anything,
-and memory that does not grow with the number of rounds traced."""
+memory that does not grow with the number of rounds traced, and a pooled
+batch's memory per run."""
 
 import csv
 import io
@@ -25,7 +26,6 @@ from repsim.engine import (
     TraceTarget,
     WorkerSnapshot,
     trace_header,
-    trace_row,
     trace_rows,
 )
 from repsim.scenarios import build_scenario, make_config
@@ -91,8 +91,8 @@ def test_trace_row_matches_json_and_csv_writer(
 ):
     outcome, record = record_of(round_index, audit_prob, audited, accepted, replies, workers)
     jsonl, csv_row, header = reference_lines(round_index, audit_prob, outcome, workers)
-    assert trace_row("jsonl", record) == jsonl
-    assert trace_row("csv", record) == csv_row
+    assert trace_rows("jsonl")(record) == jsonl
+    assert trace_rows("csv")(record) == csv_row
     assert trace_header(len(workers)) == header
 
 
@@ -175,7 +175,7 @@ def test_streamed_traces_render_kept_records(tmp_path):
                 for seed, records in zip(batch.seeds, batch.records):
                     assert all(len(rec.snapshots) == select_n for rec in records)
                     header = trace_header(select_n) if fmt == "csv" else ""
-                    expected = header + "".join(trace_row(fmt, rec) for rec in records)
+                    expected = header + "".join(trace_rows(fmt)(rec) for rec in records)
                     assert (out / f"trace_seed{seed}.{fmt}").read_text() == expected
                 batches[parallel] = batch
             assert batches[1].records == batches[2].records
@@ -197,11 +197,8 @@ def test_unknown_trace_format_is_rejected_before_anything_is_made(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["xml", "CSV", "json", ""])
 def test_unknown_format_is_rejected_when_a_renderer_is_built(fmt):
-    _, record = record_of(1, 0.5, False, None, 0, [])
     with pytest.raises(ValueError, match=re.escape(f"unknown format {fmt!r}")):
         trace_rows(fmt)
-    with pytest.raises(ValueError, match=re.escape(f"unknown format {fmt!r}")):
-        trace_row(fmt, record)
 
 
 # Spawns the command and prints its exit code and peak RSS (KiB on Linux).
@@ -215,14 +212,15 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def peak_rss_mb(argv: list[str]) -> float:
-    """Peak RSS of ``python -m repsim.cli ARGV`` from ``os.wait4``."""
+def peak_rss_mb(argv: list[str], code: int) -> float:
+    """Peak RSS of ``python -m repsim.cli ARGV`` from ``os.wait4``; the
+    command must exit with ``code``."""
     src = str(Path(repsim.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", WAIT4, sys.executable, "-m", "repsim.cli", *argv],
                          env=env, capture_output=True, text=True, check=True, timeout=300)
-    code, kib = map(int, out.stdout.split())
-    assert code == 3  # no run converges
+    exit_code, kib = map(int, out.stdout.split())
+    assert exit_code == code
     return kib / 1024
 
 
@@ -234,7 +232,19 @@ def test_trace_memory_does_not_grow_with_rounds(tmp_path):
                          max_rounds=20_000, num_instantiations=2)
     path = tmp_path / "frozen.json"
     save_config(frozen, path)
-    untraced = peak_rss_mb(["run", str(path), "--out", str(tmp_path / "plain")])
-    traced = peak_rss_mb(["run", str(path), "--out", str(tmp_path / "traced"), "--trace"])
+    # no run converges, so each command exits 3
+    untraced = peak_rss_mb(["run", str(path), "--out", str(tmp_path / "plain")], code=3)
+    traced = peak_rss_mb(["run", str(path), "--out", str(tmp_path / "traced"), "--trace"], code=3)
     assert len(trace_files(tmp_path / "traced")) == 2
     assert traced <= untraced + 10, (untraced, traced)
+
+
+def test_fanout_memory_grows_at_most_1_kb_per_run(tmp_path):
+    # At --parallel 2 the batch keeps one RunMetrics per run (about 0.4 KB);
+    # one pool task per run, each with its own pickled config, cost 2.1 KB.
+    peak = {
+        runs: peak_rss_mb(["run", "S1", "--horizon", "1", "--runs", str(runs), "--parallel", "2",
+                           "--out", str(tmp_path / str(runs))], code=0)
+        for runs in (1_000, 8_000)
+    }
+    assert (peak[8_000] - peak[1_000]) * 1024 <= 7_000, peak
