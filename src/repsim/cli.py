@@ -33,7 +33,6 @@ from .scenarios import get_scenario, list_scenarios
 __all__ = [
     "emit_results",
     "write_metrics",
-    "read_metrics_csv",
     "format_summary",
     "main",
 ]
@@ -73,19 +72,6 @@ def write_metrics(runs: Iterable[RunMetrics], path: Path, fmt: str = "csv") -> N
             writer.writerow(
                 ("true" if v else "false") if isinstance(v, bool) else v for v in row.values()
             )
-
-
-def read_metrics_csv(path: Path) -> list[RunMetrics]:
-    """Parse a metrics CSV back into RunMetrics values (round-trip of
-    write_metrics)."""
-    with Path(path).open(newline="") as fh:
-        return [
-            RunMetrics(
-                seed=int(row["seed"]),
-                **{attr: None if row[name] == "" else int(row[name]) for name, attr in METRICS},
-            )
-            for row in csv.DictReader(fh)
-        ]
 
 
 def emit_results(batch: BatchResult, out_dir: Path, fmt: str = "csv") -> Path:

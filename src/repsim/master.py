@@ -11,6 +11,7 @@ from random import Random
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .model import (
+    MechanismParams,
     ReplyValue,
     ScenarioConfig,
     SelectionPolicy,
@@ -129,7 +130,7 @@ def accept_by_weighted_majority(
     responders: Sequence[int],
     cheats: Sequence[bool],
     truth: Mapping[int, float] | Sequence[float],
-    rng: Random,
+    draw: Callable[[], float],
 ) -> bool:
     """Whether WRONG wins the weighted vote of an unaudited round.
 
@@ -138,9 +139,9 @@ def accept_by_weighted_majority(
     whose senders' summed truthfulness is maximal wins; only truthfulness
     (not combined reputation) weighs the vote. A tie between two non-empty
     groups, including the all-zero case, breaks uniformly at random: WRONG
-    wins when one ``rng.random()`` draw is below 0.5. Without cheaters (or replies) CORRECT wins and
-    nothing is drawn. The winning group, the workers to reward, are the
-    responders whose cheat flag equals the result.
+    wins when one ``draw()`` is below 0.5. Without cheaters (or replies)
+    CORRECT wins and nothing is drawn. The winning group, the workers to
+    reward, are the responders whose cheat flag equals the result.
     """
     if not any(cheats):
         return False
@@ -153,35 +154,21 @@ def accept_by_weighted_majority(
         else:
             w_honest += truth[i]
     if w_honest == w_cheat:
-        return rng.random() < 0.5
+        return draw() < 0.5
     return w_cheat > w_honest
 
 
-def update_audit_prob(
-    state: RunState,
-    responders: Sequence[int],
-    caught: Sequence[int],
-) -> float:
-    """New audit probability after an audited round.
-
-    Compares the caught cheaters' share of the responders' aggregate
-    truthfulness against the tolerance threshold and moves the probability by
-    the master's learning rate, clamped to [audit_prob_min, 1]. When the
-    responders' aggregate truthfulness is zero (no responders, or all scores
-    zero) the master learns nothing from the ratio and escalates by a full
-    learning-rate step instead.
-
-    Must be called with the truthfulness values the master held when it
-    assigned the task, i.e. before this round's audit outcomes are counted.
-    """
-    params, truth = state.params, state.truth
-    s_r = sum(truth[i] for i in responders)
-    s_f = sum(truth[i] for i in caught)
+def update_audit_prob(audit_prob: float, s_f: float, s_r: float, params: MechanismParams) -> float:
+    """New audit probability after an audited round: ``audit_prob`` moved by
+    ``alpha_m * (s_f / s_r - tau)`` and clamped to [audit_prob_min, 1].
+    ``s_f`` and ``s_r`` are the truthfulness that the caught cheaters and all
+    responders held when the task was assigned. When ``s_r`` is zero (no
+    responders, or all scores zero) the master learns nothing from the ratio
+    and escalates by a full step ``alpha_m`` instead."""
+    alpha_m = params.master_learning_rate_alpha_m
     if s_r == 0.0:
-        return min(1.0, state.audit_prob + params.master_learning_rate_alpha_m)
-    shifted = state.audit_prob + params.master_learning_rate_alpha_m * (
-        s_f / s_r - params.tolerance_tau
-    )
+        return min(1.0, audit_prob + alpha_m)
+    shifted = audit_prob + alpha_m * (s_f / s_r - params.tolerance_tau)
     return min(1.0, max(params.audit_prob_min, shifted))
 
 
@@ -266,15 +253,19 @@ def play(state: RunState, rng: Random) -> Iterator[Round]:
         # Audit decision: one Bernoulli(audit_prob) draw.
         audited = draw() < audit_prob
         if audited:
-            # The controller moves the audit probability on the truthfulness
-            # the master held when it assigned the task; then every
-            # responder's audit is counted, and the master accepts its own,
-            # correct result. Caught cheaters are fined, the honest rewarded.
-            caught = [i for i, cheated in zip(responders, cheats) if cheated]
-            audit_prob = state.audit_prob = update_audit_prob(state, responders, caught)
+            # Each responder's truthfulness as the master held it when it
+            # assigned the task is added to S_R, and a caught cheater's to
+            # S_F, left to right in id order; only then is its audit counted.
+            # The controller moves the audit probability on the two sums, and
+            # the master accepts its own, correct result. Caught cheaters are
+            # fined, the honest rewarded.
+            s_f = s_r = 0.0
             for i, cheated in zip(responders, cheats):
+                t = truth[i]
+                s_r += t
                 audits[i] += 1
                 if cheated:
+                    s_f += t
                     streak[i] = 0
                 else:
                     honest[i] += 1
@@ -283,11 +274,12 @@ def play(state: RunState, rng: Random) -> Iterator[Round]:
                 k = rank_key[i] = -(resp[i] * t)
                 if k > top:
                     top = k
+            audit_prob = state.audit_prob = update_audit_prob(audit_prob, s_f, s_r, params)
             accepted: ReplyValue | None = CORRECT
             pays = [fine if cheated else reward for cheated in cheats]
         elif responders:
             # Weighted vote: the winning group is rewarded, the others get 0.
-            wrong = accept_by_weighted_majority(responders, cheats, truth, rng)
+            wrong = accept_by_weighted_majority(responders, cheats, truth, draw)
             accepted = WRONG if wrong else CORRECT
             pays = [reward if cheated == wrong else 0.0 for cheated in cheats]
         else:

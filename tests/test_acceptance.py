@@ -118,15 +118,13 @@ def test_c1_formula_unit_suite():
         assert abs(updated(0.5, 0.0, True) - 0.49) < EXACT
         assert updated(0.01, 1.0, False) == 0.0
 
-        # audit-probability controller
-        def master(audit_prob, reputation=L):
-            return state(WorkerType.ALTRUISTIC, audit_prob=audit_prob, reputation=reputation,
-                         payoffs=payoffs)
-
-        assert abs(update_audit_prob(master(0.5), [0, 1, 2], []) - 0.45) < EXACT
-        assert abs(update_audit_prob(master(0.5), [0, 1], [0, 1]) - 0.55) < EXACT
-        assert update_audit_prob(master(0.05), [0, 1], []) == 0.01
-        assert update_audit_prob(master(0.95, reputation=B), [0, 1, 2], []) == 1.0
+        # audit-probability controller on (audit_prob, S_F, S_R): alpha_m 0.1,
+        # tau 0.5, audit_prob_min 0.01; a zero S_R escalates by alpha_m
+        params = MechanismParams(pool_size_N=9, select_n=5)
+        assert abs(update_audit_prob(0.5, 0.0, 3.0, params) - 0.45) < EXACT
+        assert abs(update_audit_prob(0.5, 2.0, 2.0, params) - 0.55) < EXACT
+        assert update_audit_prob(0.05, 0.0, 2.0, params) == 0.01
+        assert update_audit_prob(0.95, 0.0, 0.0, params) == 1.0
 
         # weighted majority and payoff assignment, through one round of a
         # fixed pool whose replies and audit decision are forced
@@ -145,7 +143,7 @@ def test_c1_formula_unit_suite():
 
         responders, cheats = (0, 1, 2), (False, False, True)
         truth = [0.9, 0.8, 0.4]
-        assert not accept_by_weighted_majority(responders, cheats, truth, make_stream(1))
+        assert not accept_by_weighted_majority(responders, cheats, truth, make_stream(1).random)
         accepted, rewarded, paid = one_round(WorkerType.ALTRUISTIC, 3, audited=False,
                                              cheat_prob=[0.0, 0.0, 1.0], truth=truth)
         assert accepted is ReplyValue.CORRECT and rewarded == (0, 1)

@@ -21,13 +21,22 @@ from repsim import (
     validate_config,
 )
 from repsim import cli
-from repsim.cli import (
-    METRICS_COLUMNS,
-    main,
-    read_metrics_csv,
-)
-from repsim.engine import aggregate_metrics
+from repsim.cli import METRICS_COLUMNS, main
+from repsim.engine import METRICS, RunMetrics, aggregate_metrics
 from repsim.scenarios import build_scenario, get_scenario, list_scenarios, make_config
+
+
+def read_metrics_csv(path):
+    """Parse a metrics CSV back into RunMetrics values (round-trip of
+    ``cli.write_metrics``)."""
+    with Path(path).open(newline="") as fh:
+        return [
+            RunMetrics(
+                seed=int(row["seed"]),
+                **{attr: None if row[name] == "" else int(row[name]) for name, attr in METRICS},
+            )
+            for row in csv.DictReader(fh)
+        ]
 
 
 class TestCatalog:

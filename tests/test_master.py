@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -64,11 +66,11 @@ def one_round(state, rng):
     return next(play(state, rng))
 
 
-def vote(responders, cheats, truth, rng):
+def vote(responders, cheats, truth, draw):
     """The weighted vote's accepted value and rewarded group, as ``play``
     derives them: the group is the responders whose cheat flag equals
     whether WRONG won."""
-    wrong = accept_by_weighted_majority(responders, cheats, truth, rng)
+    wrong = accept_by_weighted_majority(responders, cheats, truth, draw)
     group = tuple(i for i, cheated in zip(responders, cheats) if cheated == wrong)
     return (ReplyValue.WRONG if wrong else ReplyValue.CORRECT), group
 
@@ -238,7 +240,7 @@ def test_selection_equals_a_full_ranking_every_round(preset, reputation):
     assert tied_rounds > 0  # the first round at least samples a tie group
 
 
-class TestDecideAudit:
+class TestAuditDecision:
     def test_certain_audit(self):
         # every reply caught keeps the controller at 1
         master = make_state(*[WorkerType.MALICIOUS] * 9, audit_prob=1.0)
@@ -270,16 +272,16 @@ class TestDecideAudit:
 class TestWeightedMajority:
     def test_strict_maximum_group(self):
         truth = {0: 0.9, 1: 0.8, 2: 0.4}
-        accepted, rewarded = vote((0, 1, 2), (False, False, True), truth, make_stream(20))
+        accepted, rewarded = vote((0, 1, 2), (False, False, True), truth, make_stream(20).random)
         assert accepted is ReplyValue.CORRECT
         assert rewarded == (0, 1)
 
     def test_all_zero_scores_tie_breaks_uniformly(self):
         truth = {0: 0.0, 1: 0.0}
-        rng = make_stream(21)
+        draw = make_stream(21).random
         trials = 10_000
         correct = sum(
-            vote((0, 1), (False, True), truth, rng)[0] is ReplyValue.CORRECT
+            vote((0, 1), (False, True), truth, draw)[0] is ReplyValue.CORRECT
             for _ in range(trials)
         )
         assert abs(correct / trials - 0.5) <= 0.02
@@ -298,9 +300,10 @@ class TestWeightedMajority:
         responders, cheats = (0, 1, 2), (False, True, True)
         truth = {0: 0.7, 1: 0.3, 2: 0.35}
         for scale in (0.25, 0.5, 2.0, 1024.0):
-            base = vote(responders, cheats, truth, make_stream(23))
+            base = vote(responders, cheats, truth, make_stream(23).random)
             scaled = vote(
-                responders, cheats, {k: v * scale for k, v in truth.items()}, make_stream(23)
+                responders, cheats, {k: v * scale for k, v in truth.items()},
+                make_stream(23).random,
             )
             assert base == scaled
 
@@ -336,33 +339,44 @@ class TestPayoffs:
 
 
 class TestUpdateAuditProb:
+    # alpha_m = 0.1, tau = 0.5, audit_prob_min = 0.01
+    params = MechanismParams(pool_size_N=9, select_n=5)
+
     def test_no_cheaters_decreases(self):
-        master = make_state()  # fresh LINEAR counters: truthfulness 1 everywhere
-        assert update_audit_prob(master, [0, 1, 2], []) == pytest.approx(0.45, abs=1e-12)
+        # three responders of truthfulness 1, none caught
+        assert update_audit_prob(0.5, 0.0, 3.0, self.params) == pytest.approx(0.45, abs=1e-12)
 
     def test_all_caught_increases(self):
-        master = make_state()
-        assert update_audit_prob(master, [0, 1], [0, 1]) == pytest.approx(0.55, abs=1e-12)
+        assert update_audit_prob(0.5, 2.0, 2.0, self.params) == pytest.approx(0.55, abs=1e-12)
 
     def test_clamped_at_minimum(self):
-        master = make_state(audit_prob=0.05)
-        assert update_audit_prob(master, [0, 1], []) == 0.01
+        assert update_audit_prob(0.05, 0.0, 2.0, self.params) == 0.01
 
     def test_zero_aggregate_truthfulness_escalates(self):
-        # by a full alpha_m = 0.1: fresh BOINC counters give every responder
-        # zero truthfulness, and no responders sum to zero as well; from 0.95
-        # a full step and a half step would both clamp to 1
-        for reputation, responders, before, after in [
-            (ReputationType.BOINC, [0, 1, 2], 0.95, 1.0),
-            (ReputationType.BOINC, [0, 1, 2], 0.5, 0.6),
-            (ReputationType.LINEAR, [], 0.5, 0.6),
-        ]:
-            master = make_state(reputation=reputation, audit_prob=before)
-            assert update_audit_prob(master, responders, []) == after, (reputation, responders)
+        # by a full alpha_m = 0.1; from 0.95 a full step and a half step
+        # would both clamp to 1
+        for before, after in [(0.95, 1.0), (0.5, 0.6)]:
+            assert update_audit_prob(before, 0.0, 0.0, self.params) == after, before
 
     def test_never_exceeds_one(self):
-        master = make_state(audit_prob=1.0)
-        assert update_audit_prob(master, [0, 1], [0, 1]) == 1.0
+        assert update_audit_prob(1.0, 2.0, 2.0, self.params) == 1.0
+
+
+def test_audited_round_sums_held_truthfulness_left_to_right():
+    # S_R of these four values is 2.632539682539682 added left to right and
+    # 2.6325396825396825 correctly rounded (as math.fsum, or a compensated
+    # sum, gives it), and the two lead to different audit probabilities;
+    # S_F is the malicious worker's 11/12
+    master = make_state(*(WorkerType.ALTRUISTIC,) * 2, WorkerType.MALICIOUS,
+                        WorkerType.ALTRUISTIC, select_n=4, audit_prob=1.0,
+                        policy=SelectionPolicy.FIXED_RANDOM)
+    held = [4 / 9, 0.7, 11 / 12, 4 / 7]
+    master.truth[:] = held
+    audited, _, _, responders, cheats, _ = one_round(master, make_stream(1))
+    assert audited and responders == [0, 1, 2, 3] and cheats == [False, False, True, False]
+    assert master.audit_prob == 0.9848206210431113
+    compensated = update_audit_prob(1.0, 11 / 12, math.fsum(held), master.params)
+    assert compensated == 0.9848206210431112
 
 
 class TestRunMasterRound:

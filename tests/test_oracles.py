@@ -9,6 +9,7 @@ import pytest
 
 from equivalence import kolmogorov_sf
 from repsim import run_batch, run_single
+from repsim.reputation import truthfulness
 from repsim.scenarios import build_scenario
 
 SEEDS = 2000
@@ -121,3 +122,49 @@ def test_post_convergence_audits_follow_their_exact_law(preset):
     assert all(audit_prob == p_min for audit_prob, _ in after)
     audited = sum(audited for _, audited in after)
     assert lo <= audited <= hi, audited
+
+
+@pytest.mark.parametrize("preset, reputation", [
+    ("S1", "boinc"), ("S2", "boinc"), ("S3", "linear"), ("S5", "exponential"),
+    ("p9-r4m5", "linear"), ("p99-r1m8", "boinc"),
+])
+def test_audit_controller_follows_its_law_on_held_truthfulness(preset, reputation):
+    """Every audited round moves the audit probability by the paper's law,
+    alpha_m (S_F / S_R - tau) clamped to [audit_prob_min, 1], and a zero S_R
+    escalates it by exactly alpha_m (capped at 1); an unaudited round keeps
+    it. S_R and S_F are the truthfulness that the responders and the caught
+    cheaters held when the task was assigned, added left to right in id
+    order. The held values are tracked from the records alone: every worker
+    starts at the fresh truthfulness, and a round's snapshots give the
+    selected workers' values at its end. Whatever the stream, this holds
+    round for round."""
+    config = build_scenario(preset, reputation_type=reputation, num_instantiations=20,
+                            post_convergence_horizon=200)
+    params = config.mechanism
+    alpha_m, tau, p_min = (params.master_learning_rate_alpha_m, params.tolerance_tau,
+                           params.audit_prob_min)
+    fresh = truthfulness(params.reputation_type, 0, 0, 0, params.exponential_base_epsilon)
+    audited = escalated = 0
+    for records in run_batch(config, keep_records=True).records:
+        held = [fresh] * params.pool_size_N
+        for record in records:
+            outcome, before = record.outcome, record.audit_prob_before
+            if outcome.audited:
+                s_f = s_r = 0.0
+                for i in outcome.responders:
+                    s_r += held[i]
+                    if i in outcome.cheaters_caught:
+                        s_f += held[i]
+                if s_r == 0.0:
+                    law = min(1.0, before + alpha_m)
+                    escalated += 1
+                else:
+                    law = min(1.0, max(p_min, before + alpha_m * (s_f / s_r - tau)))
+                audited += 1
+            else:
+                law = before
+            assert record.audit_prob_after == law, (record.round_index, before)
+            for snapshot in record.snapshots:
+                held[snapshot.id] = snapshot.rho_tr
+    assert audited > 0
+    assert escalated > 0 or reputation != "boinc"  # fresh BOINC scores are zero
