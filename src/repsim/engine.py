@@ -180,7 +180,7 @@ class TraceTarget(NamedTuple):
         return Path(self.directory) / f"trace_seed{seed}.{self.fmt}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunMetrics:
     """Summary of one run.
 
@@ -277,8 +277,7 @@ def _run(config: ScenarioConfig, seed: int, keep_records: bool,
          observer: RoundObserver | None) -> tuple[list[RoundRecord], RunMetrics]:
     """``run_single`` on a config the caller has already validated."""
     rng = make_stream(seed)
-    state = RunState(config, rng)
-    type_names = [spec.worker_type.value for spec in state.specs]
+    state = RunState(config)
     p_min = config.mechanism.audit_prob_min
     horizon = config.post_convergence_horizon
     WRONG = ReplyValue.WRONG
@@ -296,7 +295,7 @@ def _run(config: ScenarioConfig, seed: int, keep_records: bool,
     # does: the classes' generated Python-level ``__new__`` costs about as
     # much again.
     new = tuple.__new__
-    cheat_prob, resp, truth = state.cheat_prob, state.resp, state.truth
+    type_name, cheat_prob, resp, truth = state.type_name, state.cheat_prob, state.resp, state.truth
     rounds = zip(range(1, config.max_rounds + 1), play(state, rng))
     for r, (audited, accepted, selected, responders, cheats, pays) in rounds:
         audit_prob_before, audit_prob = audit_prob, state.audit_prob
@@ -305,7 +304,7 @@ def _run(config: ScenarioConfig, seed: int, keep_records: bool,
             outcome = new(RoundOutcome, (tuple(selected), tuple(responders), audited, caught,
                                          accepted, dict(zip(responders, pays)), audit_prob))
             snapshots = tuple([
-                new(WorkerSnapshot, (i, type_names[i], cheat_prob[i], resp[i], truth[i]))
+                new(WorkerSnapshot, (i, type_name[i], cheat_prob[i], resp[i], truth[i]))
                 for i in selected
             ])
             record = new(RoundRecord, (r, outcome, snapshots, audit_prob_before))

@@ -35,25 +35,26 @@ class RunState:
     """Everything a run reads or changes, one list per field, indexed by
     worker id.
 
-    Read from the specs once: ``availability``, ``rational`` (whether the
-    worker learns), ``aspiration`` and ``learning_rate`` (the worker's
-    override, else the shared rate). The counter columns are
+    Built from the config alone, with no draw. Read from the specs once:
+    ``type_name`` (the worker type's name), ``availability``, ``rational``
+    (whether the worker learns), ``aspiration`` and ``learning_rate`` (the
+    worker's override, else the shared rate). The counter columns are
     ``selections``, ``replies``, ``audits`` (audited replies), ``honest``
     (audited replies found correct) and ``streak`` (honest audits since the
     last catch). ``cheat_prob`` moves only for rational workers. ``resp``
     and ``truth`` hold the two reputation factors evaluated on the current
     counters, and ``rank_key`` holds ``-(resp * truth)``, which selection
-    ranks ascending; whoever changes a factor updates the key. Under
-    FIXED_RANDOM selection the fixed set is sampled from ``rng`` here.
+    ranks ascending; whoever changes a factor updates the key.
     """
 
-    def __init__(self, config: ScenarioConfig, rng: Random):
+    def __init__(self, config: ScenarioConfig):
         params = config.mechanism
         self.params = params
         self.payoffs = config.payoffs
         self.audit_prob = params.audit_prob_initial
-        self.specs = specs = tuple(sorted(config.workers, key=lambda w: w.worker_id))
+        specs = sorted(config.workers, key=lambda w: w.worker_id)
         n_pool = len(specs)
+        self.type_name = [s.worker_type.value for s in specs]
         self.availability = [s.availability for s in specs]
         self.rational = [s.worker_type is WorkerType.RATIONAL for s in specs]
         self.aspiration = [s.aspiration for s in specs]
@@ -72,11 +73,6 @@ class RunState:
         self.resp = [resp] * n_pool
         self.truth = [truth] * n_pool
         self.rank_key = [-(resp * truth)] * n_pool
-        self.fixed_selection: tuple[int, ...] | None = None
-        if params.selection_policy is SelectionPolicy.FIXED_RANDOM:
-            ids = list(range(n_pool))
-            partial_shuffle(ids, params.select_n, rng.random)
-            self.fixed_selection = tuple(sorted(ids[: params.select_n]))
 
 
 def partial_shuffle(items: list, k: int, draw: Callable[[], float]) -> None:
@@ -185,18 +181,19 @@ def play(state: RunState, rng: Random) -> Iterator[Round]:
     """Play rounds forever, updating the state's columns in place and
     yielding each round's ``Round`` once it is complete.
 
-    The run's constants and columns are bound once. ``state.audit_prob`` is
-    read when the first round starts and kept current from then on; the
-    column lists may be changed in place between rounds, but not
-    ``rank_key``, as the ranking is kept up to date from the keys ``play``
-    wrote. Every draw is one ``rng.random()`` call, whose sequence Python
-    fixes for an integer seed. A round draws in phase order: the selection's
-    tie-group sample (only when a ranking leaves part of a tied group out),
-    replies, the audit decision, and the vote's tie break.
+    ``play`` reads the state when the first round starts and owns it until
+    it stops: callers may change the columns only before the first round,
+    and read them (and ``state.audit_prob``, kept current) after each.
+    Every draw is one ``rng.random()`` call, whose sequence Python fixes for
+    an integer seed. Under FIXED_RANDOM selection the run's first draws,
+    one per place, sample the set that every round selects. A round then
+    draws in phase order: the selection's tie-group sample (only when a
+    ranking leaves part of a tied group out), replies, the audit decision,
+    and the vote's tie break.
     """
     params, payoffs = state.params, state.payoffs
     draw = rng.random
-    select_n, fixed = params.select_n, state.fixed_selection
+    select_n = params.select_n
     rep_type, epsilon = params.reputation_type, params.exponential_base_epsilon
     reward, fine = payoffs.reward_WBy, -payoffs.punishment_WPc
     task_cost = payoffs.task_cost_WCt
@@ -214,18 +211,21 @@ def play(state: RunState, rng: Random) -> Iterator[Round]:
     # (exact after the replies, raised by audits). While ``top < bar`` every
     # outsider is above every selected worker, a ranking would choose the
     # same set, and the set is carried forward without a draw. The first
-    # round ranks, as ``top`` starts equal to ``bar``.
-    selected = fixed
-    if fixed is None:
+    # round ranks, as ``top`` starts equal to ``bar``. A FIXED_RANDOM set is
+    # a sample of ids carried forever: its ``bar`` is above every key.
+    bar = top = 0.0
+    if params.selection_policy is SelectionPolicy.FIXED_RANDOM:
+        ids = list(range(len(rank_key)))
+        partial_shuffle(ids, select_n, draw)
+        selected, bar = tuple(sorted(ids[:select_n])), inf
+    else:
         out_ids = sorted(range(len(rank_key)), key=rank_key.__getitem__)
         out_keys = [rank_key[i] for i in out_ids]
         selected = ()
-    bar = top = 0.0
 
     while True:
-        # Selection: the fixed set, the carried set, or the n most reputable
-        # workers.
-        if fixed is None and not top < bar:
+        # Selection: the carried set, or the n most reputable workers.
+        if not top < bar:
             selected = select_top_n(rank_key, selected, out_keys, out_ids, select_n, draw)
             bar = out_keys[0]
 

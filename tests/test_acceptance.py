@@ -63,7 +63,7 @@ def state(worker_type, n_pool=9, select_n=5, audit_prob=0.5, reputation=L, payof
         pool_size_N=n_pool, select_n=select_n, audit_prob_initial=audit_prob,
         reputation_type=reputation, selection_policy=policy,
     )
-    return RunState(ScenarioConfig(workers, payoffs, params), make_stream(0))
+    return RunState(ScenarioConfig(workers, payoffs, params))
 
 
 def counters(run_state):

@@ -1,8 +1,9 @@
 import math
 import os
+import pickle
 import random
 import statistics
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import pytest
@@ -189,6 +190,18 @@ RUN_METRICS = st.builds(
     incorrect_after_convergence=st.integers(0, 10**3),
     empty_rounds_after_convergence=st.integers(0, 10**3),
 )
+
+
+@given(RUN_METRICS)
+def test_run_metrics_pickle_round_trip(metrics):
+    # pool processes send each run's RunMetrics back pickled: every protocol
+    # restores it, and it stays a frozen instance without a __dict__
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(metrics, protocol))
+        assert type(back) is RunMetrics and back == metrics
+    assert not hasattr(metrics, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        metrics.seed = 0
 
 
 def seeded_runs(count, seed):

@@ -40,7 +40,6 @@ def make_state(
     cheat_prob=0.5,
     learning_rate=None,
     payoffs=PAYOFFS,
-    seed=0,
 ):
     """Run state over a pool of the given types (default: 9 altruistic)."""
     types = types or (WorkerType.ALTRUISTIC,) * 9
@@ -57,7 +56,7 @@ def make_state(
         reputation_type=reputation,
         selection_policy=policy,
     )
-    return RunState(ScenarioConfig(workers, payoffs, params), make_stream(seed))
+    return RunState(ScenarioConfig(workers, payoffs, params))
 
 
 def one_round(state, rng):
@@ -131,15 +130,15 @@ class TestSelection:
         assert len(seen) == 6  # every pair of the group
 
     def test_fixed_random_returns_same_set_every_round(self):
-        master = make_state(policy=SelectionPolicy.FIXED_RANDOM, seed=13)
+        master = make_state(policy=SelectionPolicy.FIXED_RANDOM)
         rounds = play(master, make_stream(14))
         first = next(rounds)[2]
         assert len(first) == 5
         assert next(rounds)[2] == first
-        assert master.fixed_selection == tuple(first)
+        assert all(next(rounds)[2] == first for _ in range(50))
 
     def test_reputation_selection_returns_n_sorted_ids(self):
-        master = make_state(seed=15)
+        master = make_state()
         picked = one_round(master, make_stream(16))[2]
         assert len(picked) == 5 == len(set(picked))
         assert picked == sorted(picked)
@@ -228,7 +227,7 @@ def test_selection_equals_a_full_ranking_every_round(preset, reputation):
     # group at the boundary compared as a set
     config = build_scenario(preset, reputation_type=reputation)
     n = config.mechanism.select_n
-    state = RunState(config, make_stream(3))
+    state = RunState(config)
     rounds = play(state, make_stream(3))
     tied_rounds = 0
     for _ in range(400):
@@ -257,13 +256,15 @@ class TestAuditDecision:
         assert 0.007 <= freq <= 0.013
 
     def test_consumes_exactly_one_draw(self):
-        # a round of one fixed, always available altruist draws its
+        # a run of one fixed, always available altruist first draws its
+        # one-place FIXED_RANDOM sample; its first round then draws the
         # availability, then the audit decision, and nothing else
         for audit_prob in (1.0, 0.0):
             master = make_state(WorkerType.ALTRUISTIC, select_n=1, audit_prob=audit_prob,
                                 policy=SelectionPolicy.FIXED_RANDOM)
             a, b = make_stream(19), make_stream(19)
             one_round(master, a)
+            b.random()
             b.random()
             b.random()
             assert a.random() == b.random()
@@ -379,7 +380,7 @@ def test_audited_round_sums_held_truthfulness_left_to_right():
     assert compensated == 0.9848206210431112
 
 
-class TestRunMasterRound:
+class TestRound:
     def test_all_altruistic_audited_round(self):
         master = make_state(audit_prob=1.0)
         audited, accepted, _, responders, cheats, payoffs = one_round(master, make_stream(24))
@@ -392,7 +393,7 @@ class TestRunMasterRound:
     def test_all_malicious_unaudited_accepts_wrong(self):
         master = make_state(
             *[WorkerType.MALICIOUS] * 5, select_n=5, audit_prob=1e-12, audit_prob_min=1e-12,
-            policy=SelectionPolicy.FIXED_RANDOM, seed=25,
+            policy=SelectionPolicy.FIXED_RANDOM,
         )
         audited, accepted, *_ = one_round(master, make_stream(26))
         assert not audited
@@ -402,7 +403,7 @@ class TestRunMasterRound:
     def test_all_unavailable_accepts_none(self):
         master = make_state(
             *[WorkerType.MALICIOUS] * 5, select_n=5, audit_prob=1e-12, audit_prob_min=1e-12,
-            policy=SelectionPolicy.FIXED_RANDOM, availability=1e-12, seed=27,
+            policy=SelectionPolicy.FIXED_RANDOM, availability=1e-12,
         )
         _, accepted, _, responders, _, payoffs = one_round(master, make_stream(28))
         assert tuple(responders) == ()
@@ -414,7 +415,7 @@ class TestRunMasterRound:
             WorkerType.ALTRUISTIC, WorkerType.ALTRUISTIC, WorkerType.MALICIOUS,
             WorkerType.RATIONAL, WorkerType.RATIONAL, WorkerType.MALICIOUS,
             WorkerType.ALTRUISTIC, WorkerType.RATIONAL, WorkerType.MALICIOUS,
-            audit_prob=1.0, availability=0.7, seed=29,
+            audit_prob=1.0, availability=0.7,
         )
         for column in COLUMNS:  # a streak to reset or extend
             getattr(master, column)[:] = [3] * 9
@@ -434,14 +435,13 @@ class TestRunMasterRound:
             assert master.streak[i] == (0 if caught_i else 3 + int(audited_i))
 
     def test_unaudited_round_keeps_audit_prob(self):
-        master = make_state(audit_prob=1e-12, audit_prob_min=1e-12, seed=31)
+        master = make_state(audit_prob=1e-12, audit_prob_min=1e-12)
         audited, *_ = one_round(master, make_stream(32))
         assert not audited
         assert master.audit_prob == 1e-12
 
     def test_per_worker_learning_rate_override(self):
-        master = make_state(*[WorkerType.RATIONAL] * 9, audit_prob=1.0, learning_rate=0.05,
-                            seed=40)
+        master = make_state(*[WorkerType.RATIONAL] * 9, audit_prob=1.0, learning_rate=0.05)
         audited, _, _, responders, cheats, payoffs = one_round(master, make_stream(41))
         for i, payoff in zip(responders, payoffs):
             if i in caught(audited, responders, cheats):
@@ -453,8 +453,7 @@ class TestRunMasterRound:
             )
 
     def test_rational_workers_update_only_when_they_responded(self):
-        master = make_state(*[WorkerType.RATIONAL] * 9, audit_prob=1.0, availability=0.5,
-                            seed=33)
+        master = make_state(*[WorkerType.RATIONAL] * 9, audit_prob=1.0, availability=0.5)
         before = list(master.cheat_prob)
         responders = one_round(master, make_stream(34))[3]
         for i, p in enumerate(master.cheat_prob):

@@ -3,14 +3,15 @@ correct random stream, so a change to the stream is judged against them and
 not only against the old engine."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from equivalence import kolmogorov_sf
-from repsim import run_batch, run_single
+from repsim import ReplyValue, WorkerType, run_batch, run_single
 from repsim.reputation import truthfulness
-from repsim.scenarios import build_scenario
+from repsim.scenarios import build_scenario, make_config
 
 SEEDS = 2000
 ALPHA = 0.001
@@ -168,3 +169,42 @@ def test_audit_controller_follows_its_law_on_held_truthfulness(preset, reputatio
                 held[snapshot.id] = snapshot.rho_tr
     assert audited > 0
     assert escalated > 0 or reputation != "boinc"  # fresh BOINC scores are zero
+
+
+def test_vote_tie_break_follows_its_exact_law():
+    """One altruist and one malicious worker, both always available and
+    both selected every round, under BOINC with the audit probability held
+    at its floor of 1e-12: no round is audited (asserted), so both keep
+    truthfulness 0 and every round's vote is a tie of two zero-weight groups.
+    Each tie is broken by a fresh draw, so WRONG's wins over the 3 000
+    rounds of one run (converged at round 1, horizon 2 999) are exactly
+    Binomial(3000, 1/2).
+
+    Two-sided, equal-tailed exact test at level ALPHA, the tails summed in
+    integers from math.comb: WRONG must win 1 410 to 1 590 times. Its power
+    against a tie break that favours WRONG with probability 0.55 is 0.985,
+    asserted below.
+    """
+    n = 3000
+    config = make_config([(1, WorkerType.ALTRUISTIC, 1.0), (1, WorkerType.MALICIOUS, 1.0)],
+                         reputation_type="boinc", select_n=2, audit_prob_initial=1e-12,
+                         post_convergence_horizon=n - 1)
+    config = replace(config, mechanism=replace(config.mechanism, audit_prob_min=1e-12))
+    # reject below lo, the least k with P(X <= k) > ALPHA / 2, counted in
+    # outcomes of n fair draws
+    limit, tail, lo = 2**n // round(2 / ALPHA), 0, 0
+    while (tail := tail + math.comb(n, lo)) <= limit:
+        lo += 1
+    hi = n - lo  # the law is symmetric
+    assert (lo, hi) == (1410, 1590)
+    # P(lo <= X <= hi) when WRONG wins a tie with probability 11/20
+    accept = sum(math.comb(n, k) * 11**k * 9 ** (n - k) for k in range(lo, hi + 1))
+    assert 1 - accept / 20**n > 0.98
+
+    records, metrics = run_single(config, 7)
+    assert metrics.convergence_round == 1 and len(records) == n
+    for record in records:
+        assert not record.outcome.audited and record.outcome.responders == (0, 1)
+        assert [s.rho_tr for s in record.snapshots] == [0.0, 0.0]
+    wins = sum(record.outcome.accepted_value is ReplyValue.WRONG for record in records)
+    assert lo <= wins <= hi, wins

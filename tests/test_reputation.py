@@ -36,7 +36,7 @@ def one_worker(worker_type=A, rep_type=L, epsilon=0.5, counters=(0, 0, 0, 0, 0))
             exponential_base_epsilon=epsilon, selection_policy=SelectionPolicy.FIXED_RANDOM,
         ),
     )
-    state = RunState(config, make_stream(0))
+    state = RunState(config)
     for column, value in zip(COLUMNS, counters):
         getattr(state, column)[0] = value
     return state
@@ -117,7 +117,7 @@ class TestCombined:
         )
 
 
-class TestRecordOps:
+class TestCounterUpdates:
     def test_selection_increments_only_select(self):
         state = one_worker()
         play_round(state, replied=False)

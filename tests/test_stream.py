@@ -1,5 +1,6 @@
-"""A run's records are exactly what ``play`` yields on the run's stream, and
-a run loads neither numpy nor, without a pool, the process pool's module."""
+"""A run's records are exactly what ``play`` yields on the run's stream, a
+FIXED_RANDOM run selects the sample its stream's first draws make, and a run
+loads neither numpy nor, without a pool, the process pool's module."""
 
 import os
 import subprocess
@@ -10,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import repsim
-from repsim import run_single
-from repsim.master import RunState, play
+from repsim import SelectionPolicy, WorkerType, run_batch, run_single
+from repsim.master import RunState, partial_shuffle, play
 from repsim.model import make_stream
-from repsim.scenarios import build_scenario
+from repsim.scenarios import build_scenario, make_config
 
 ROUNDS = 300
 CASES = [(p, r) for p in ("S2", "S3", "S5") for r in ("linear", "exponential", "boinc")]
@@ -30,7 +31,7 @@ def test_run_single_matches_plain_generator_reference(preset, reputation):
     records, _ = run_single(config, seed)
 
     rng = make_stream(seed)
-    state = RunState(config, rng)
+    state = RunState(config)
     reference = []
     ties = 0
     before = state.audit_prob
@@ -57,6 +58,31 @@ def test_run_single_matches_plain_generator_reference(preset, reputation):
     if reputation == "boinc" and preset != "S2":
         # zero truthfulness on both sides ties the vote (S2 has no cheaters)
         assert ties > 0
+
+
+FIXED_POOL = make_config([(1, WorkerType.ALTRUISTIC, 1.0), (8, WorkerType.MALICIOUS, 0.5)],
+                         reputation_type="boinc", select_n=5, max_rounds=300,
+                         post_convergence_horizon=50, num_instantiations=20,
+                         selection_policy=SelectionPolicy.FIXED_RANDOM)
+
+
+@pytest.mark.parametrize("config", [FIXED_POOL, build_scenario("p5-r5m4", num_instantiations=20,
+                                                               post_convergence_horizon=50)],
+                         ids=["n<N", "p5-r5m4"])
+def test_fixed_random_set_is_the_sample_of_the_first_draws(config):
+    # a FIXED_RANDOM run's first draws, one per place, are a partial
+    # Fisher-Yates sample of the ids, and every round selects that sample,
+    # sorted; a sample taken after any other draw would select other sets
+    n, pool_size = config.mechanism.select_n, config.mechanism.pool_size_N
+    batch = run_batch(config, keep_records=True)
+    sets = set()
+    for seed, records in zip(batch.seeds, batch.records):
+        ids = list(range(pool_size))
+        partial_shuffle(ids, n, make_stream(seed).random)
+        sample = tuple(sorted(ids[:n]))
+        assert all(record.outcome.selected == sample for record in records), seed
+        sets.add(sample)
+    assert len(sets) > 1 or n == pool_size
 
 
 def test_running_the_cli_and_a_pool_leaves_numpy_unloaded(tmp_path):

@@ -33,7 +33,7 @@ def pool(*specs):
             selection_policy=SelectionPolicy.FIXED_RANDOM,
         ),
     )
-    return RunState(config, make_stream(0))
+    return RunState(config)
 
 
 def fixed(worker_type, availability=1.0, count=1):
@@ -80,7 +80,7 @@ class TestAvailability:
         assert abs(corr) < 0.05
 
 
-class TestProduceReply:
+class TestReplies:
     def test_malicious_always_wrong(self):
         assert all(cheats_of(fixed(WorkerType.MALICIOUS), make_stream(4), 100))
 
