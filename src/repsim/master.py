@@ -75,22 +75,22 @@ class RunState:
         self.rank_key = [-(resp * truth)] * n_pool
 
 
-def partial_shuffle(items: list, k: int, draw: Callable[[], float]) -> None:
-    """Move a uniform random ``k``-sample of ``items`` to its first ``k``
-    places, in random order, with one ``draw()`` per place: a partial
-    Fisher-Yates shuffle. Place j takes item ``j + int(draw() * (m - j))``
-    of ``m``, each with a probability within a factor ``1 +- m * 2**-53`` of
-    uniform, as ``draw()`` returns multiples of ``2**-53``."""
-    m = len(items)
-    for j in range(k):
-        r = j + int(draw() * (m - j))
+def partial_shuffle(items: list, lo: int, k: int, hi: int, draw: Callable[[], float]) -> None:
+    """Move a uniform random ``(k - lo)``-sample of ``items[lo:hi]`` to
+    places ``lo`` to ``k - 1``, in random order, with one ``draw()`` per
+    place: a partial Fisher-Yates shuffle in place, which leaves the items
+    outside ``[lo, hi)`` where they are. Place j takes item
+    ``j + int(draw() * (hi - j))``, each with a probability within a factor
+    ``1 +- (hi - lo) * 2**-53`` of uniform, as ``draw()`` returns multiples
+    of ``2**-53``."""
+    for j in range(lo, k):
+        r = j + int(draw() * (hi - j))
         items[j], items[r] = items[r], items[j]
 
 
 def select_top_n(
     rank_key: Sequence[float],
     selected: Sequence[int],
-    out_keys: list[float],
     out_ids: list[int],
     n: int,
     draw: Callable[[], float],
@@ -99,26 +99,22 @@ def select_top_n(
     ties broken uniformly at random, as ascending ids.
 
     ``selected`` holds ids whose keys may have moved. The other workers'
-    keys have not, and ``out_keys`` and ``out_ids`` hold them ascending.
-    The selected workers are merged into those lists by bisection; if the
-    run of keys equal to the n-th lowest extends past place n, a
-    ``partial_shuffle`` of that run decides which of it are among the first
-    n. The first n are taken out, and the lists keep the workers left out.
+    keys have not, and ``out_ids`` holds those workers ascending by key.
+    Each selected worker is inserted by bisection after the keys equal to
+    its own; if the run of keys equal to the n-th lowest extends past place
+    n, a ``partial_shuffle`` of that run decides which of it are among the
+    first n. The first n are taken out, and the list keeps the workers left
+    out.
     """
+    key = rank_key.__getitem__
     for i in selected:
-        k = rank_key[i]
-        j = bisect_right(out_keys, k)
-        out_keys.insert(j, k)
-        out_ids.insert(j, i)
-    boundary = out_keys[n - 1]
-    hi = bisect_right(out_keys, boundary, n)
+        out_ids.insert(bisect_right(out_ids, rank_key[i], key=key), i)
+    boundary = rank_key[out_ids[n - 1]]
+    hi = bisect_right(out_ids, boundary, n, key=key)
     if hi > n:
-        lo = bisect_left(out_keys, boundary, 0, n)
-        run = out_ids[lo:hi]
-        partial_shuffle(run, n - lo, draw)
-        out_ids[lo:hi] = run
+        partial_shuffle(out_ids, bisect_left(out_ids, boundary, 0, n, key=key), n, hi, draw)
     chosen = sorted(out_ids[:n])
-    del out_keys[:n], out_ids[:n]
+    del out_ids[:n]
     return chosen
 
 
@@ -204,30 +200,29 @@ def play(state: RunState, rng: Random) -> Iterator[Round]:
     resp, truth, rank_key = state.resp, state.truth, state.rank_key
     CORRECT, WRONG = ReplyValue.CORRECT, ReplyValue.WRONG
     audit_prob = state.audit_prob
-    # Under REPUTATION selection the workers outside ``selected`` are kept
-    # ranked in ``out_keys``/``out_ids``: only selected workers' keys move, so
-    # an outsider's key is the one it was ranked on. ``bar`` is the lowest
-    # outsider key, and ``top`` is at least the selected set's highest key
-    # (exact after the replies, raised by audits). While ``top < bar`` every
-    # outsider is above every selected worker, a ranking would choose the
-    # same set, and the set is carried forward without a draw. The first
+    # Under REPUTATION selection ``out_ids`` holds the workers outside
+    # ``selected``, ascending by ``rank_key``: only selected workers' keys
+    # move, so an outsider's key is the one it was ranked on. ``bar`` is the
+    # lowest outsider key, and ``top`` is at least the selected set's highest
+    # key (exact after the replies, raised by audits). While ``top < bar``
+    # every outsider is above every selected worker, a ranking would choose
+    # the same set, and the set is carried forward without a draw. The first
     # round ranks, as ``top`` starts equal to ``bar``. A FIXED_RANDOM set is
     # a sample of ids carried forever: its ``bar`` is above every key.
     bar = top = 0.0
     if params.selection_policy is SelectionPolicy.FIXED_RANDOM:
         ids = list(range(len(rank_key)))
-        partial_shuffle(ids, select_n, draw)
+        partial_shuffle(ids, 0, select_n, len(ids), draw)
         selected, bar = tuple(sorted(ids[:select_n])), inf
     else:
         out_ids = sorted(range(len(rank_key)), key=rank_key.__getitem__)
-        out_keys = [rank_key[i] for i in out_ids]
         selected = ()
 
     while True:
         # Selection: the carried set, or the n most reputable workers.
         if not top < bar:
-            selected = select_top_n(rank_key, selected, out_keys, out_ids, select_n, draw)
-            bar = out_keys[0]
+            selected = select_top_n(rank_key, selected, out_ids, select_n, draw)
+            bar = rank_key[out_ids[0]]
 
         # Replies, in id order: each selected worker takes one
         # Bernoulli(availability) draw, which covers computing, replying and

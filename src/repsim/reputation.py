@@ -1,9 +1,10 @@
 """The reputation scores, as functions of the per-worker counters the master
 keeps.
 
-The master never stores a reputation as state: it stores counters and
-evaluates the scores from them, so the three truthfulness types can be
-compared on identical histories.
+The master's state is the counters. ``RunState`` also caches each worker's
+two scores (``resp`` and ``truth``) and the rank key made from them
+(``rank_key``), always these functions evaluated on the current counters, so
+the three truthfulness types can be compared on identical histories.
 """
 
 from __future__ import annotations

@@ -134,7 +134,7 @@ _PARTIAL_SCENARIOS: list[tuple[str, str, list[Group]]] = [
 
 def _generator(groups: Sequence[Group]) -> Callable[..., ScenarioConfig]:
     # Looks make_config up at call time, so a rebinding of the module
-    # attribute (a profiler's wrapper, a test double) is seen.
+    # attribute is seen: bench/tracer.py wraps it to count and time calls.
     return lambda **kwargs: make_config(groups, **kwargs)
 
 

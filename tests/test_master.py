@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -82,9 +83,8 @@ def rank(keys, n, draw):
     """A ranking from scratch, with every worker an outsider: the chosen ids
     and the lowest key left out."""
     out_ids = sorted(range(len(keys)), key=keys.__getitem__)
-    out_keys = [keys[i] for i in out_ids]
-    chosen = select_top_n(keys, (), out_keys, out_ids, n, draw)
-    return chosen, out_keys[0]
+    chosen = select_top_n(keys, (), out_ids, n, draw)
+    return chosen, keys[out_ids[0]]
 
 
 class Counter:
@@ -146,10 +146,17 @@ class TestSelection:
 
 @given(m=st.integers(1, 200), data=st.data())
 def test_partial_shuffle_permutes_the_items(m, data):
-    k = data.draw(st.integers(0, m))
+    # k - lo places of the slice [lo, hi) of m items, one draw each; the
+    # items outside the slice stay where they are
+    hi = data.draw(st.integers(0, m))
+    lo = data.draw(st.integers(0, hi))
+    k = data.draw(st.integers(lo, hi))
     items = list(range(m))
-    partial_shuffle(items, k, make_stream(data.draw(st.integers(0, 2**64 - 1))).random)
-    assert sorted(items) == list(range(m))
+    draw = Counter(data.draw(st.integers(0, 2**64 - 1)))
+    partial_shuffle(items, lo, k, hi, draw)
+    assert items[:lo] + items[hi:] == list(range(lo)) + list(range(hi, m))
+    assert sorted(items[lo:hi]) == list(range(lo, hi))
+    assert draw.calls == k - lo
 
 
 def test_partial_shuffle_is_uniform_over_ordered_samples():
@@ -160,7 +167,7 @@ def test_partial_shuffle_is_uniform_over_ordered_samples():
     counts = {}
     for _ in range(trials):
         items = [0, 1, 2, 3]
-        partial_shuffle(items, 2, draw)
+        partial_shuffle(items, 0, 2, 4, draw)
         counts[tuple(items[:2])] = counts.get(tuple(items[:2]), 0) + 1
     assert len(counts) == 12
     expected = trials / 12
@@ -201,21 +208,69 @@ def assert_is_a_full_ranking(keys, chosen, n):
 def test_ranking_from_a_moved_selection_equals_a_full_ranking(data):
     # the outsiders keep the keys they were ranked on; the selected set's
     # keys move anywhere. The new set is a full ranking's, and the outsider
-    # lists are left ascending and holding exactly the workers left out.
+    # ids are left ascending by key and are exactly the workers left out.
     pool_size = data.draw(st.integers(2, 12))
     n = data.draw(st.integers(1, pool_size - 1))
     keys = [data.draw(st.sampled_from(RANK_LEVELS)) for _ in range(pool_size)]
     selected = sorted(data.draw(st.permutations(range(pool_size)))[:n])
     out_ids = sorted((i for i in range(pool_size) if i not in selected), key=keys.__getitem__)
-    out_keys = [keys[i] for i in out_ids]
     for i in selected:
         keys[i] = data.draw(st.sampled_from(RANK_LEVELS))
     draw = make_stream(data.draw(st.integers(0, 2**64 - 1))).random
-    chosen = select_top_n(keys, selected, out_keys, out_ids, n, draw)
+    chosen = select_top_n(keys, selected, out_ids, n, draw)
     assert chosen == sorted(chosen)
     assert_is_a_full_ranking(keys, chosen, n)
     assert sorted(out_ids + chosen) == list(range(pool_size))
-    assert out_keys == [keys[i] for i in out_ids] == sorted(out_keys)
+    ranked = [keys[i] for i in out_ids]
+    assert ranked == sorted(ranked)
+
+
+def two_list_select_top_n(rank_key, selected, out_keys, out_ids, n, draw):
+    """``select_top_n`` as it was when the outsiders' keys were kept in a
+    list of their own beside ``out_ids`` and the tie run was shuffled in a
+    copy: the reference for the order ties keep and the draws they take."""
+    for i in selected:
+        k = rank_key[i]
+        j = bisect_right(out_keys, k)
+        out_keys.insert(j, k)
+        out_ids.insert(j, i)
+    boundary = out_keys[n - 1]
+    hi = bisect_right(out_keys, boundary, n)
+    if hi > n:
+        lo = bisect_left(out_keys, boundary, 0, n)
+        run = out_ids[lo:hi]
+        m = len(run)
+        for j in range(n - lo):
+            r = j + int(draw() * (m - j))
+            run[j], run[r] = run[r], run[j]
+        out_ids[lo:hi] = run
+    chosen = sorted(out_ids[:n])
+    del out_keys[:n], out_ids[:n]
+    return chosen
+
+
+@given(st.data())
+def test_ties_keep_the_two_list_order_draw_for_draw(data):
+    # a few rankings in a row, the outsiders' ties in any order and the
+    # selected keys moved before each: the chosen ids, the order left in
+    # out_ids and the draws taken are the two-list reference's
+    pool_size = data.draw(st.integers(2, 12))
+    n = data.draw(st.integers(1, pool_size - 1))
+    keys = [data.draw(st.sampled_from(RANK_LEVELS)) for _ in range(pool_size)]
+    order = data.draw(st.permutations(range(pool_size)))
+    selected = sorted(order[:n])
+    out_ids = sorted(order[n:], key=keys.__getitem__)
+    ref_ids, ref_keys = list(out_ids), [keys[i] for i in out_ids]
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    draw, ref_draw = Counter(seed), Counter(seed)
+    for _ in range(data.draw(st.integers(1, 3))):
+        for i in selected:
+            keys[i] = data.draw(st.sampled_from(RANK_LEVELS))
+        expected = two_list_select_top_n(keys, selected, ref_keys, ref_ids, n, ref_draw)
+        selected = select_top_n(keys, selected, out_ids, n, draw)
+        assert selected == expected
+        assert out_ids == ref_ids
+        assert draw.calls == ref_draw.calls
 
 
 @pytest.mark.parametrize("reputation", [t.value for t in ReputationType])

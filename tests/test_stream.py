@@ -78,7 +78,7 @@ def test_fixed_random_set_is_the_sample_of_the_first_draws(config):
     sets = set()
     for seed, records in zip(batch.seeds, batch.records):
         ids = list(range(pool_size))
-        partial_shuffle(ids, n, make_stream(seed).random)
+        partial_shuffle(ids, 0, n, pool_size, make_stream(seed).random)
         sample = tuple(sorted(ids[:n]))
         assert all(record.outcome.selected == sample for record in records), seed
         sets.add(sample)
