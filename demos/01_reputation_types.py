@@ -8,7 +8,7 @@ have been observed since the last catch.
 """
 
 from repsim import ReputationType
-from repsim.reputation import truthfulness
+from repsim.master import truthfulness
 
 history = [True] * 8 + [False, False] + [True] * 10
 

@@ -5,8 +5,8 @@ a worker pool, optionally audits the replies, accepts a weighted-majority
 answer otherwise, and adapts its audit probability; rational workers adapt
 their cheating probability from payoffs. The package exports the scenario
 configuration and its I/O, the run engine with its convergence metrics and
-theorem checks, and the built-in presets. The mechanism primitives live in
-their modules: ``repsim.reputation``, ``repsim.worker`` and ``repsim.master``.
+theorem checks, and the built-in presets. The mechanism itself, its rules
+and the round, lives in ``repsim.master``.
 """
 
 from .model import (

@@ -1,7 +1,8 @@
-"""The rounds of the mechanism over a run's state: reputation-ranked
-selection, the selected workers' replies, probabilistic auditing,
-weighted-majority acceptance, payoffs, the audit-probability controller and
-the rational workers' learning."""
+"""The mechanism: the reputation scores as functions of a worker's counters,
+each worker type's starting cheating probability, and the rounds over a
+run's state: reputation-ranked selection, the selected workers' replies,
+probabilistic auditing, weighted-majority acceptance, payoffs, the
+audit-probability controller and the rational workers' learning step."""
 
 from __future__ import annotations
 
@@ -13,14 +14,19 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .model import (
     MechanismParams,
     ReplyValue,
+    ReputationType,
     ScenarioConfig,
     SelectionPolicy,
+    WorkerSpec,
     WorkerType,
 )
-from .reputation import responsiveness, truthfulness
-from .worker import initial_cheat_prob, update_cheat_prob
 
 __all__ = [
+    "BOINC_STREAK_THRESHOLD",
+    "responsiveness",
+    "truthfulness",
+    "initial_cheat_prob",
+    "update_cheat_prob",
     "RunState",
     "Round",
     "partial_shuffle",
@@ -29,6 +35,71 @@ __all__ = [
     "update_audit_prob",
     "play",
 ]
+
+
+BOINC_STREAK_THRESHOLD = 10
+
+
+def responsiveness(replies: int, selections: int) -> float:
+    """Smoothed fraction of selections that produced a reply; always in (0, 1]."""
+    return (replies + 1) / (selections + 1)
+
+
+def truthfulness(
+    rep_type: ReputationType,
+    audits: int,
+    honest: int,
+    streak: int,
+    epsilon: float = 0.5,
+) -> float:
+    """Truthfulness score of a worker whose replies were audited ``audits``
+    times, ``honest`` of them found correct, the last ``streak`` in a row.
+
+    LINEAR is forgiving (smoothed fraction of audited replies that were
+    honest), EXPONENTIAL decays by ``epsilon`` per caught cheat and never
+    recovers, BOINC is zero until ten consecutive audited-honest replies and
+    then approaches one from below.
+    """
+    if rep_type is ReputationType.LINEAR:
+        return (honest + 1) / (audits + 1)
+    if rep_type is ReputationType.EXPONENTIAL:
+        return epsilon ** (audits - honest)
+    if rep_type is ReputationType.BOINC:
+        if streak < BOINC_STREAK_THRESHOLD:
+            return 0.0
+        return 1.0 - 1.0 / streak
+    raise ValueError(f"unknown reputation type: {rep_type!r}")
+
+
+def initial_cheat_prob(spec: WorkerSpec) -> float:
+    """Malicious workers are pinned to 1 and altruistic workers to 0; only a
+    rational worker's probability starts at its spec value and moves."""
+    if spec.worker_type is WorkerType.MALICIOUS:
+        return 1.0
+    if spec.worker_type is WorkerType.ALTRUISTIC:
+        return 0.0
+    return spec.initial_cheat_prob
+
+
+def update_cheat_prob(
+    cheat_prob: float,
+    payoff: float,
+    did_cheat: bool,
+    aspiration: float,
+    task_cost: float,
+    alpha_w: float,
+) -> float:
+    """Reinforcement step of a rational worker after receiving a payoff.
+
+    A cheater compares the payoff against its aspiration; an honest worker
+    additionally discounts the cost of having computed the task. The result
+    is clamped to [0, 1].
+    """
+    if did_cheat:
+        p = cheat_prob + alpha_w * (payoff - aspiration)
+    else:
+        p = cheat_prob - alpha_w * (payoff - task_cost - aspiration)
+    return min(1.0, max(0.0, p))
 
 
 class RunState:

@@ -9,6 +9,7 @@ the initial audit probability are generator parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .model import (
@@ -132,14 +133,8 @@ _PARTIAL_SCENARIOS: list[tuple[str, str, list[Group]]] = [
 ]
 
 
-def _generator(groups: Sequence[Group]) -> Callable[..., ScenarioConfig]:
-    # Looks make_config up at call time, so a rebinding of the module
-    # attribute is seen: bench/tracer.py wraps it to count and time calls.
-    return lambda **kwargs: make_config(groups, **kwargs)
-
-
 _CATALOG = {
-    name: ScenarioPreset(name, description, _generator(groups))
+    name: ScenarioPreset(name, description, partial(make_config, groups))
     for name, description, groups in _GRID_SCENARIOS + _PARTIAL_SCENARIOS
 }
 

@@ -28,11 +28,17 @@ from repsim import (
     run_single,
 )
 from repsim.cli import emit_results
-from repsim.master import RunState, accept_by_weighted_majority, play, update_audit_prob
+from repsim.master import (
+    RunState,
+    accept_by_weighted_majority,
+    play,
+    responsiveness,
+    truthfulness,
+    update_audit_prob,
+    update_cheat_prob,
+)
 from repsim.model import make_stream
-from repsim.reputation import responsiveness, truthfulness
 from repsim.scenarios import build_scenario, make_config
-from repsim.worker import update_cheat_prob
 
 L, E, B = ReputationType.LINEAR, ReputationType.EXPONENTIAL, ReputationType.BOINC
 EXACT = 1e-12

@@ -20,7 +20,9 @@ from repsim.master import (
     accept_by_weighted_majority,
     play,
     partial_shuffle,
+    responsiveness,
     select_top_n,
+    truthfulness,
     update_audit_prob,
 )
 from repsim.model import make_stream
@@ -292,6 +294,26 @@ def test_selection_equals_a_full_ranking_every_round(preset, reputation):
         boundary = sorted(keys)[n - 1]
         tied_rounds += sum(k == boundary for k in keys) > sum(keys[i] == boundary for i in chosen)
     assert tied_rounds > 0  # the first round at least samples a tie group
+
+
+@pytest.mark.parametrize("reputation", list(ReputationType))
+@pytest.mark.parametrize("preset", ["S3", "S5", "p99-r1m8"])
+def test_cached_scores_match_the_counters_every_round(preset, reputation):
+    # play keeps resp, truth and rank_key as caches of the formulas on the
+    # counters; after every round they hold for every worker, selected or not
+    config = build_scenario(preset, reputation_type=reputation)
+    epsilon = config.mechanism.exponential_base_epsilon
+    state = RunState(config)
+    rounds = play(state, make_stream(5))
+    for _ in range(300):
+        next(rounds)
+        for i in range(len(state.rank_key)):
+            assert state.resp[i] == responsiveness(state.replies[i], state.selections[i])
+            assert state.truth[i] == truthfulness(
+                reputation, state.audits[i], state.honest[i], state.streak[i], epsilon
+            )
+            assert state.rank_key[i] == -(state.resp[i] * state.truth[i])
+    assert sum(state.audits) > 0
 
 
 class TestAuditDecision:

@@ -10,7 +10,7 @@ import pytest
 
 from equivalence import kolmogorov_sf
 from repsim import ReplyValue, WorkerType, run_batch, run_single
-from repsim.reputation import truthfulness
+from repsim.master import truthfulness
 from repsim.scenarios import build_scenario, make_config
 
 SEEDS = 2000

@@ -14,7 +14,7 @@ from repsim import (
 )
 from repsim.master import RunState, play
 from repsim.model import make_stream
-from repsim.reputation import responsiveness, truthfulness
+from repsim.master import responsiveness, truthfulness
 
 L, E, B = ReputationType.LINEAR, ReputationType.EXPONENTIAL, ReputationType.BOINC
 A, M = WorkerType.ALTRUISTIC, WorkerType.MALICIOUS

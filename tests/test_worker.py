@@ -12,7 +12,7 @@ from repsim import (
 )
 from repsim.master import RunState, play
 from repsim.model import ReplyValue, make_stream
-from repsim.worker import initial_cheat_prob, update_cheat_prob
+from repsim.master import initial_cheat_prob, update_cheat_prob
 
 PAYOFFS = PayoffParams(punishment_WPc=0.0, task_cost_WCt=0.1, reward_WBy=1.0)
 ALPHA = 0.1
