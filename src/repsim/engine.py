@@ -96,9 +96,9 @@ class RoundRecord(NamedTuple):
         return self.outcome.audit_prob_after
 
 
-# Observer of a run, called after each round with its record; a traced
-# batch run's observer writes the record's row, from the run's ``trace_rows``
-# renderer, to the run's file.
+# Observer of a run, called after each round with its record; a traced run
+# renders its rows from the run's columns instead (see ``trace_rows``), so it
+# builds records only when they are kept or an observer is passed.
 RoundObserver = Callable[[RoundRecord], None]
 
 
@@ -110,10 +110,12 @@ def trace_header(slots: int) -> str:
     return ",".join(columns) + "\n"
 
 
-def trace_rows(fmt: str) -> Callable[[RoundRecord], str]:
-    """A renderer of one run's trace lines, called with each record in turn:
-    the round's columns (``audit_prob`` is the probability the round was
-    played with), then each selected worker's ``WorkerSnapshot`` columns.
+def trace_rows(fmt: str, state: RunState) -> Callable[..., str]:
+    """A renderer of one run's trace lines, called after each round with the
+    round's columns (``audit_prob`` is the probability the round was played
+    with); each selected worker's ``WorkerSnapshot`` columns are read by id
+    from ``state``'s ``type_name``, ``cheat_prob``, ``resp`` and ``truth``
+    as they stand at the call, the end of the round.
 
     The bytes are those of ``json.dumps`` on the row as a dict (workers as a
     list of dicts), or of a ``csv.writer`` with LF line ends on the flattened
@@ -124,7 +126,7 @@ def trace_rows(fmt: str) -> Callable[[RoundRecord], str]:
     renderer keeps, per worker id, the text before it (id, type,
     ``cheat_prob``) and the text after it (``rho_tr``), and the last
     ``audit_prob``'s text, each with the objects it was rendered from, and
-    renders a piece again only when a record holds a different object. A
+    renders a piece again only when a column holds a different object. A
     cached text is the ``repr`` of the very object it is compared with (held,
     so its identity is not reused), so every row has the bytes of rendering
     each value afresh, ``-0.0`` included; the state is one entry per worker id.
@@ -137,34 +139,34 @@ def trace_rows(fmt: str) -> Callable[[RoundRecord], str]:
         tail = ', "rho_tr": {!r}}}'.format
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    type_name, cheat_prob, resp, truth = state.type_name, state.cheat_prob, state.resp, state.truth
     heads: dict[int, tuple[str, float, str]] = {}  # id -> (type, cheat_prob, text)
     tails: dict[int, tuple[float, str]] = {}  # id -> (rho_tr, text)
     last_audit_prob, audit_text = None, repr(None)  # as every cached text: the object's repr
 
-    def render(record: RoundRecord) -> str:
+    def render(round_index: int, audit_prob: float, audited: bool,
+               accepted: ReplyValue | None, selected: Sequence[int], replies: int) -> str:
         nonlocal last_audit_prob, audit_text
-        round_index, outcome, workers, audit_prob = record
         if audit_prob is not last_audit_prob:
             last_audit_prob, audit_text = audit_prob, repr(audit_prob)
         cells = []
-        for i, t, p, rs, tr in workers:
+        for i in selected:
+            t, p, tr = type_name[i], cheat_prob[i], truth[i]
             h = heads.get(i)
             if h is None or h[0] is not t or h[1] is not p:
                 h = heads[i] = (t, p, head(i, t, p))
             r = tails.get(i)
             if r is None or r[0] is not tr:
                 r = tails[i] = (tr, tail(tr))
-            cells.append(h[2] + repr(rs) + r[1])
-        accepted = outcome.accepted_value
+            cells.append(h[2] + repr(resp[i]) + r[1])
         value = "NONE" if accepted is None else accepted.value
-        audited = "true" if outcome.audited else "false"
-        replies = len(outcome.responders)
+        audited_text = "true" if audited else "false"
         if fmt == "csv":
-            return f"{round_index},{audit_text},{audited},{value},{replies}{''.join(cells)}\n"
+            return f"{round_index},{audit_text},{audited_text},{value},{replies}{''.join(cells)}\n"
         return (
-            f'{{"round_index": {round_index}, "audit_prob": {audit_text}, "audited": {audited}, '
-            f'"accepted_value": "{value}", "num_replies": {replies}, "workers": ['
-            + ", ".join(cells) + "]}\n"
+            f'{{"round_index": {round_index}, "audit_prob": {audit_text}, '
+            f'"audited": {audited_text}, "accepted_value": "{value}", "num_replies": {replies}, '
+            '"workers": [' + ", ".join(cells) + "]}\n"
         )
 
     return render
@@ -274,8 +276,10 @@ def run_single(
 
 
 def _run(config: ScenarioConfig, seed: int, keep_records: bool,
-         observer: RoundObserver | None) -> tuple[list[RoundRecord], RunMetrics]:
-    """``run_single`` on a config the caller has already validated."""
+         observer: RoundObserver | None, write: Callable[[str], object] | None = None,
+         fmt: str = "csv") -> tuple[list[RoundRecord], RunMetrics]:
+    """``run_single`` on a config the caller has already validated; with
+    ``write``, each round's ``trace_rows(fmt, ...)`` row is passed to it."""
     rng = make_stream(seed)
     state = RunState(config)
     p_min = config.mechanism.audit_prob_min
@@ -284,6 +288,8 @@ def _run(config: ScenarioConfig, seed: int, keep_records: bool,
 
     records: list[RoundRecord] = []
     recording = keep_records or observer is not None
+    row = None if write is None else trace_rows(fmt, state)
+    observed = recording or row is not None
     convergence_round: int | None = None
     audits_before_convergence = 0
     incorrect_before = 0
@@ -299,19 +305,22 @@ def _run(config: ScenarioConfig, seed: int, keep_records: bool,
     rounds = zip(range(1, config.max_rounds + 1), play(state, rng))
     for r, (audited, accepted, selected, responders, cheats, pays) in rounds:
         audit_prob_before, audit_prob = audit_prob, state.audit_prob
-        if recording:
-            caught = tuple(i for i, c in zip(responders, cheats) if c) if audited else ()
-            outcome = new(RoundOutcome, (tuple(selected), tuple(responders), audited, caught,
-                                         accepted, dict(zip(responders, pays)), audit_prob))
-            snapshots = tuple([
-                new(WorkerSnapshot, (i, type_name[i], cheat_prob[i], resp[i], truth[i]))
-                for i in selected
-            ])
-            record = new(RoundRecord, (r, outcome, snapshots, audit_prob_before))
-            if observer is not None:
-                observer(record)
-            if keep_records:
-                records.append(record)
+        if observed:  # the one per-round test of an untraced, unrecorded run
+            if row is not None:
+                write(row(r, audit_prob_before, audited, accepted, selected, len(responders)))
+            if recording:
+                caught = tuple(i for i, c in zip(responders, cheats) if c) if audited else ()
+                outcome = new(RoundOutcome, (tuple(selected), tuple(responders), audited, caught,
+                                             accepted, dict(zip(responders, pays)), audit_prob))
+                snapshots = tuple([
+                    new(WorkerSnapshot, (i, type_name[i], cheat_prob[i], resp[i], truth[i]))
+                    for i in selected
+                ])
+                record = new(RoundRecord, (r, outcome, snapshots, audit_prob_before))
+                if observer is not None:
+                    observer(record)
+                if keep_records:
+                    records.append(record)
 
         if convergence_round is None:
             if audited:
@@ -346,12 +355,10 @@ def _batch_task(config: ScenarioConfig, keep_records: bool, trace: TraceTarget |
     if trace is None:
         records, metrics = _run(config, seed, keep_records, None)
     else:
-        render = trace_rows(trace.fmt)
         with open(trace.path(seed), "w", newline="") as fh:
             if trace.fmt == "csv":  # every round selects select_n workers
                 fh.write(trace_header(config.mechanism.select_n))
-            records, metrics = _run(config, seed, keep_records,
-                                    lambda record: fh.write(render(record)))
+            records, metrics = _run(config, seed, keep_records, None, fh.write, trace.fmt)
     return tuple(records), metrics
 
 

@@ -208,3 +208,75 @@ def test_vote_tie_break_follows_its_exact_law():
         assert [s.rho_tr for s in record.snapshots] == [0.0, 0.0]
     wins = sum(record.outcome.accepted_value is ReplyValue.WRONG for record in records)
     assert lo <= wins <= hi, wins
+
+
+def theorem_2b_config(d, runs):
+    """Theorem 2(b)'s smallest case: one always-available altruist (id 0)
+    and one altruist available with probability ``d`` (id 1), one selected
+    per round, under BOINC."""
+    return make_config([(1, WorkerType.ALTRUISTIC, 1.0), (1, WorkerType.ALTRUISTIC, d)],
+                       reputation_type="boinc", select_n=1, num_instantiations=runs)
+
+
+def test_theorem_2b_run_violates_when_the_partial_worker_first_gains_truthfulness():
+    """Both altruists start with BOINC truthfulness 0, so both rank at -0.0
+    and every ranking is a fair tie until one has ten honest audits in a row.
+    That worker's rank key is then negative for ever, and the other is never
+    selected again. When it is the partial worker, its missed replies leave
+    rounds empty after convergence; when it is the always-available one,
+    every round is answered correctly. So a run violates eventual
+    correctness exactly when the first worker with positive truthfulness, as
+    read from the records, is id 1. Both outcomes occur among the seeds."""
+    batch = run_batch(theorem_2b_config(0.9, 300), keep_records=True)
+    firsts = []
+    for records, metrics in zip(batch.records, batch.runs):
+        first = next(s.id for record in records for s in record.snapshots if s.rho_tr > 0)
+        assert metrics.eventual_correctness_violated == (first == 1), metrics.seed
+        firsts.append(first)
+    assert set(firsts) == {0, 1}
+
+
+def race_law(a, b):
+    """P(Binomial(19, q) >= 10) for q = a / (a + b), as integers (num, den):
+    the chance that the partial worker is first to ten streak points when
+    each point is its own with probability q."""
+    num = sum(math.comb(19, k) * a**k * b ** (19 - k) for k in range(10, 20))
+    return num, (a + b) ** 19
+
+
+def test_theorem_2b_violating_count_follows_its_exact_law():
+    """In the race above, each round selects one of the two fairly, and an
+    audited reply adds one to its sender's streak. The audit draw does not
+    depend on who was selected, and only the partial worker can fail to
+    reply, so each point is the partial worker's with probability
+    q = d / (1 + d), independently, and it wins the race to ten when at least
+    10 of the first 19 points are its own. With d = 0.9 (q = 9/19), each run
+    violates with probability p = P(Binomial(19, 9/19) >= 10) = 0.408, and
+    the violating count over 400 seeds is exactly Binomial(400, p) (but for
+    the chance, 0.9 ** 500 < 1e-22, that a winning partial worker answers all
+    500 rounds of the horizon).
+
+    Two-sided, equal-tailed exact test at level ALPHA, the tails summed in
+    integers from math.comb: the count must lie in [131, 196]. Its power
+    against a selection tie break that favours worker 0 with probability
+    0.55 (q = 0.405 / 0.955, p = 0.25) is 0.9997, asserted below.
+    """
+    n = 400
+
+    def terms(num, den):  # P(X = k) * den ** n for k = 0 .. n, X ~ Binomial(n, num / den)
+        return [math.comb(n, k) * num**k * (den - num) ** (n - k) for k in range(n + 1)], den**n
+
+    law, total = terms(*race_law(9, 10))
+    limit = total // round(2 / ALPHA)
+    tail, lo = 0, 0  # reject below lo, the least k with P(X <= k) > ALPHA / 2
+    while (tail := tail + law[lo]) <= limit:
+        lo += 1
+    tail, hi = 0, n  # reject above hi, the greatest k with P(X >= k) > ALPHA / 2
+    while (tail := tail + law[hi]) <= limit:
+        hi -= 1
+    assert (lo, hi) == (131, 196)
+    alternative, total = terms(*race_law(81, 110))
+    assert 1 - sum(alternative[lo:hi + 1]) / total > 0.9996
+
+    violating = run_batch(theorem_2b_config(0.9, n)).aggregate.violated_count
+    assert lo <= violating <= hi, violating

@@ -1,8 +1,9 @@
-"""Per-round traces: one row renderer over a run's round records, streamed
-files that render a run's kept records, byte-identical across ``--parallel``,
-an unknown format rejected by the renderer and before a batch makes anything,
-memory that does not grow with the number of rounds traced, and a pooled
-batch's memory per run."""
+"""Per-round traces: one row renderer over a run's columns, streamed files
+that render a run's kept records, byte-identical across ``--parallel``,
+traced batches whose metrics equal untraced ones and that build no round
+record, an unknown format rejected by the renderer and before a batch makes
+anything, memory that does not grow with the number of rounds traced, and a
+pooled batch's memory per run."""
 
 import csv
 import io
@@ -12,29 +13,31 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import repsim
 from repsim import ReplyValue, SelectionPolicy, WorkerType, run_batch, save_config
+from repsim import engine
 from repsim.cli import emit_results, main
 from repsim.engine import (
     TRACE_COLUMNS,
-    RoundOutcome,
     RoundRecord,
     TraceTarget,
     WorkerSnapshot,
     trace_header,
     trace_rows,
 )
+from repsim.master import RunState
 from repsim.scenarios import build_scenario, make_config
 
 UNIT = st.floats(0.0, 1.0, allow_subnormal=True)
 WORKERS = st.lists(
     st.tuples(st.integers(0, 10**6), st.sampled_from([t.value for t in WorkerType]),
               UNIT, UNIT, UNIT),
-    max_size=6,
+    max_size=6, unique_by=lambda w: w[0],
 )
 # Floats as distinct objects with equal values, both zeros among them: a
 # renderer must tell neither two equal objects nor 0.0 and -0.0 apart wrongly.
@@ -42,13 +45,12 @@ POOL = [float(text) for text in ("0.0", "-0.0", "0.0", "-0.0", "0.5", "0.5", "1e
 TYPES = [t.value for t in WorkerType] + ["".join(t.value) for t in WorkerType]
 
 
-def reference_lines(round_index, audit_prob, outcome, workers):
-    """The row as ``json.dumps`` of a dict and as ``csv.writer`` output."""
-    accepted = outcome.accepted_value
-    values = (
-        round_index, audit_prob, outcome.audited,
-        "NONE" if accepted is None else accepted.value, len(outcome.responders),
-    )
+def reference_lines(round_index, audit_prob, audited, accepted, replies, workers):
+    """The row as ``json.dumps`` of a dict and as ``csv.writer`` output, and
+    the CSV header for as many workers; ``workers`` holds each selected
+    worker's ``WorkerSnapshot`` columns."""
+    values = (round_index, audit_prob, audited,
+              "NONE" if accepted is None else accepted.value, replies)
     row = {
         **dict(zip(TRACE_COLUMNS, values)),
         "workers": [dict(zip(WorkerSnapshot._fields, w)) for w in workers],
@@ -56,7 +58,7 @@ def reference_lines(round_index, audit_prob, outcome, workers):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        [*values[:2], "true" if outcome.audited else "false", *values[3:]]
+        [*values[:2], "true" if audited else "false", *values[3:]]
         + [v for w in workers for v in w]
     )
     writer.writerow([*TRACE_COLUMNS] + [
@@ -66,14 +68,18 @@ def reference_lines(round_index, audit_prob, outcome, workers):
     return json.dumps(row) + "\n", row_line, header_line
 
 
-def record_of(round_index, audit_prob, audited, accepted, replies, workers):
-    outcome = RoundOutcome(
-        selected=tuple(w[0] for w in workers), responders=tuple(range(replies)),
-        audited=audited, cheaters_caught=(), accepted_value=accepted, payoffs={},
-        audit_prob_after=audit_prob,
-    )
-    return outcome, RoundRecord(round_index, outcome, tuple(WorkerSnapshot(*w) for w in workers),
-                                audit_prob)
+def columns():
+    """Fake run columns: ``type_name``, ``cheat_prob``, ``resp`` and
+    ``truth``, each a dict by worker id."""
+    return SimpleNamespace(type_name={}, cheat_prob={}, resp={}, truth={})
+
+
+def set_columns(state, workers):
+    """Set each worker's columns from its ``WorkerSnapshot`` values."""
+    for i, *values in workers:
+        for column, value in zip((state.type_name, state.cheat_prob, state.resp, state.truth),
+                                 values):
+            column[i] = value
 
 
 @given(
@@ -89,10 +95,14 @@ def record_of(round_index, audit_prob, audited, accepted, replies, workers):
 def test_trace_row_matches_json_and_csv_writer(
     round_index, audit_prob, audited, accepted, replies, workers
 ):
-    outcome, record = record_of(round_index, audit_prob, audited, accepted, replies, workers)
-    jsonl, csv_row, header = reference_lines(round_index, audit_prob, outcome, workers)
-    assert trace_rows("jsonl")(record) == jsonl
-    assert trace_rows("csv")(record) == csv_row
+    state = columns()
+    set_columns(state, workers)
+    selected = [w[0] for w in workers]
+    jsonl, csv_row, header = reference_lines(round_index, audit_prob, audited, accepted, replies,
+                                             workers)
+    for fmt, line in (("jsonl", jsonl), ("csv", csv_row)):
+        row = trace_rows(fmt, state)
+        assert row(round_index, audit_prob, audited, accepted, selected, replies) == line
     assert trace_header(len(workers)) == header
 
 
@@ -113,16 +123,21 @@ def test_trace_row_matches_json_and_csv_writer(
                                   (0.5, [(0, "RATIONAL", 0.0, 0.5, 1.0)]),
                                   (0.5, [(0, "RATIONAL", -0.0, 0.5, 1.0)])])
 def test_one_renderer_matches_json_and_csv_writer_across_rows(ids, rows):
-    # one renderer per format over the whole sequence, as a traced run has;
-    # each row's workers are some of a fixed set, in any order
-    render = {fmt: trace_rows(fmt) for fmt in ("csv", "jsonl")}
+    # one renderer per format over the whole sequence and over columns that
+    # change between rows, as a traced run has; each row's workers are some
+    # of a fixed set, in any order
+    state = columns()
+    render = {fmt: trace_rows(fmt, state) for fmt in ("csv", "jsonl")}
     for round_index, (audit_prob, slots) in enumerate(rows, 1):
         workers = [(ids[k], *values) for k, *values in slots]
-        outcome, record = record_of(round_index, audit_prob, round_index % 2 == 0, None,
-                                    len(workers), workers)
-        jsonl, csv_row, _ = reference_lines(round_index, audit_prob, outcome, workers)
-        assert render["jsonl"](record) == jsonl
-        assert render["csv"](record) == csv_row
+        set_columns(state, workers)
+        selected, audited = [w[0] for w in workers], round_index % 2 == 0
+        jsonl, csv_row, _ = reference_lines(round_index, audit_prob, audited, None, len(workers),
+                                            workers)
+        assert render["jsonl"](round_index, audit_prob, audited, None, selected,
+                               len(workers)) == jsonl
+        assert render["csv"](round_index, audit_prob, audited, None, selected,
+                             len(workers)) == csv_row
 
 
 def run(out, *args):
@@ -174,8 +189,16 @@ def test_streamed_traces_render_kept_records(tmp_path):
                 assert len(trace_files(out)) == 3
                 for seed, records in zip(batch.seeds, batch.records):
                     assert all(len(rec.snapshots) == select_n for rec in records)
-                    header = trace_header(select_n) if fmt == "csv" else ""
-                    expected = header + "".join(trace_rows(fmt)(rec) for rec in records)
+                    lines = [
+                        reference_lines(rec.round_index, rec.audit_prob_before,
+                                        rec.outcome.audited, rec.outcome.accepted_value,
+                                        len(rec.outcome.responders), rec.snapshots)
+                        for rec in records
+                    ]
+                    if fmt == "csv":
+                        expected = lines[0][2] + "".join(csv_row for _, csv_row, _ in lines)
+                    else:
+                        expected = "".join(jsonl for jsonl, _, _ in lines)
                     assert (out / f"trace_seed{seed}.{fmt}").read_text() == expected
                 batches[parallel] = batch
             assert batches[1].records == batches[2].records
@@ -197,8 +220,42 @@ def test_unknown_trace_format_is_rejected_before_anything_is_made(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["xml", "CSV", "json", ""])
 def test_unknown_format_is_rejected_when_a_renderer_is_built(fmt):
+    state = RunState(build_scenario("S5"))
     with pytest.raises(ValueError, match=re.escape(f"unknown format {fmt!r}")):
-        trace_rows(fmt)
+        trace_rows(fmt, state)
+
+
+@pytest.mark.parametrize("reputation", ["linear", "exponential", "boinc"])
+@pytest.mark.parametrize("preset", ["S3", "S5", "p99-r1m8"])
+def test_traced_batch_metrics_equal_untraced(tmp_path, preset, reputation):
+    # tracing takes no draw and moves no state
+    config = build_scenario(preset, reputation_type=reputation, num_instantiations=4,
+                            post_convergence_horizon=100)
+    untraced = run_batch(config)
+    for fmt in ("csv", "jsonl"):
+        traced = run_batch(config, trace=TraceTarget(tmp_path / fmt, fmt))
+        assert traced.runs == untraced.runs
+        assert len(trace_files(tmp_path / fmt)) == 4
+
+
+class Unbuildable:
+    """Stands in for a round record type: ``tuple.__new__`` refuses it."""
+
+    _fields = WorkerSnapshot._fields  # trace_header's slot columns
+
+
+def test_traced_unrecorded_batch_builds_no_round_record(tmp_path, monkeypatch):
+    config = build_scenario("S5", reputation_type="boinc", num_instantiations=2,
+                            post_convergence_horizon=40)
+    expected = run_batch(config, keep_records=True, trace=TraceTarget(tmp_path / "kept"))
+    for name in ("RoundOutcome", "WorkerSnapshot", "RoundRecord"):
+        monkeypatch.setattr(engine, name, Unbuildable)
+    for fmt in ("csv", "jsonl"):
+        batch = run_batch(config, trace=TraceTarget(tmp_path / fmt, fmt))
+        assert batch.runs == expected.runs
+    assert trace_files(tmp_path / "csv") == trace_files(tmp_path / "kept")
+    with pytest.raises(TypeError):  # the stand-ins do stop a recorded run
+        run_batch(config, keep_records=True)
 
 
 # Spawns the command and prints its exit code and peak RSS (KiB on Linux).
